@@ -97,7 +97,6 @@ def _storm_round(engine, rulebook, payloads, expected, churn):
         FrontConfig(
             shards=SHARDS,
             max_inflight=max(CONNECTIONS * 4, 64),
-            batch_window_ms=1.0,
             parameters=PARAMETERS,
         ),
     )

@@ -78,7 +78,6 @@ def test_storm_with_midrun_hot_swap(serve_dataset, results_dir):
         FrontConfig(
             shards=SHARDS,
             max_inflight=max(CONNECTIONS * 4, 64),
-            batch_window_ms=1.0,
             parameters=PARAMETERS,
         ),
     )

@@ -227,7 +227,7 @@ def test_health_instrumentation_overhead(
         "overhead": overhead,
         "max_overhead": max_overhead,
         "profiler_samples": profiler.samples,
-        "drift_window_sampled": instrumented.drift_window.sampled,
+        "drift_sampled": instrumented.drift_window.sampled,
         "drift_psi_max": None if report is None else report.psi_max,
     }
     path = results_dir / "BENCH_health.json"

@@ -91,7 +91,6 @@ def _storm_round(engine, rulebook, payloads, expected, traced, dump_dir):
             FrontConfig(
                 shards=SHARDS,
                 max_inflight=max(CONNECTIONS * 4, 64),
-                batch_window_ms=1.0,
                 parameters=PARAMETERS,
             ),
         )

@@ -701,12 +701,17 @@ def flush_exit_exporters() -> int:
 
 
 def _handle_exit_signal(signum, frame) -> None:
-    """Flush exporters, then hand the signal to whoever had it before."""
+    """Flush exporters, then hand the signal to whoever had it before.
+
+    A Python-level previous handler — including
+    :func:`signal.default_int_handler`, which raises
+    :class:`KeyboardInterrupt` — is chained to, so Ctrl-C still unwinds
+    the program through its ``finally`` blocks.  Only a true default
+    disposition re-raises the signal to die with its exit status.
+    """
     flush_exit_exporters()
     previous = _PREVIOUS_SIGNAL_HANDLERS.get(signum)
-    if callable(previous) and previous not in (
-        signal.SIG_DFL, signal.SIG_IGN, signal.default_int_handler
-    ):
+    if callable(previous) and previous not in (signal.SIG_DFL, signal.SIG_IGN):
         previous(signum, frame)
         return
     if previous is signal.SIG_IGN:

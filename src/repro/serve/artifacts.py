@@ -332,8 +332,17 @@ def save_engine(
             store_path = os.path.basename(store_path)
         columnar_ref = {"kind": snapshot_store.kind, "path": store_path}
     payload = engine_to_dict(engine, columnar_ref=columnar_ref)
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
+    # Write a temp sibling and rename it over the artifact: a crash
+    # mid-write leaves the previous artifact loadable, never a torn one.
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as handle:
+            json.dump(payload, handle)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
     if obs_journal.active():
         obs_journal.record(
             "artifact-save",

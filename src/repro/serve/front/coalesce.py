@@ -3,21 +3,31 @@
 During a launch storm many independent clients ask for one carrier
 each within the same few milliseconds.  Serving them one-by-one pays
 the per-call dispatch overhead N times; the engine's vectorized
-columnar kernels are happiest when handed a batch.  The coalescer
-holds each shard's arrivals for at most ``window_s`` (the
-``--batch-window-ms`` knob) or until ``max_batch`` accumulate —
-whichever comes first — then flushes the whole run as a single
-``handle_batch`` call on the shard worker.
+columnar kernels are happiest when handed a batch.
 
-The window is a latency *budget*, not a fixed delay: the timer arms on
-the first request of a batch, so an isolated request waits the window
-once and a storm flushes early on size.  Batch sizes are observed in
-``repro_front_batch_size`` — the distribution is the direct measure of
-how much coalescing the storm achieved.
+The coalescer batches *naturally*: the shard worker's own busy time
+sets the batch size, with no timer and no tuning knob.
 
-The coalescer is confined to the asyncio event loop (submit and flush
-both run there); only the flush *callback* hands work to a shard
-thread.
+* **Idle shard** — no flush of this coalescer is outstanding, so a
+  submit flushes at once.  A lone sequential client pays no coalesce
+  wait at all.
+* **Busy shard** — a flush is still being served, so arrivals park in
+  ``_pending``.
+* **Completion** — when the outstanding batch settles (the flush
+  callback's ``done``, relayed to the loop), the parked run flushes as
+  one ``handle_batch`` call.  A storm therefore still coalesces: the
+  longer the worker is busy, the more requests share the next flush.
+* **Cap** — ``max_batch`` bounds every flush; a parked run that reaches
+  it flushes even while the shard is busy, so the worker's queue never
+  runs dry under a deep backlog.
+
+Batch sizes are observed in ``repro_front_batch_size`` — the
+distribution is the direct measure of how much coalescing the storm
+achieved.
+
+The coalescer is confined to the asyncio event loop (submit, flush and
+``done`` all run there); only the flush *callback* hands work to a
+shard thread.
 """
 
 from __future__ import annotations
@@ -59,25 +69,29 @@ class Entry:
 
 
 class Coalescer:
-    """Accumulates one shard's requests into micro-batches."""
+    """Accumulates one shard's requests into micro-batches.
+
+    ``flush(batch, done)`` hands one batch to the shard.  It must call
+    ``done()`` on the event loop once the batch settles — served,
+    errored or shed — or the shard stays busy and every later request
+    parks forever.  ``done`` is idempotent; if ``flush`` itself raises,
+    the coalescer fails the batch's futures and releases it.
+    """
 
     def __init__(
         self,
-        flush: Callable[[List[Entry]], None],
-        window_s: float,
+        flush: Callable[[List[Entry], Callable[[], None]], None],
         max_batch: int,
         loop: Optional[asyncio.AbstractEventLoop] = None,
     ) -> None:
-        if window_s < 0:
-            raise ValueError("batch window must be >= 0")
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
         self._flush_fn = flush
-        self.window_s = window_s
         self.max_batch = max_batch
         self._loop = loop
         self._pending: List[Entry] = []
-        self._timer: Optional[asyncio.TimerHandle] = None
+        #: Flushes handed to the shard and not yet settled.
+        self._outstanding = 0
         self._batch_histogram = obs_metrics.histogram(
             "repro_front_batch_size",
             "Coalesced requests per shard batch",
@@ -89,8 +103,8 @@ class Coalescer:
         )
         # Distinct request targets per flush: the upper bound on how
         # many votes the downstream batch planner must compute, so
-        # (batch size − distinct targets) is the dedup opportunity the
-        # coalescing window actually created.
+        # (batch size − distinct targets) is the dedup opportunity that
+        # coalescing actually created.
         self._distinct_histogram = obs_metrics.histogram(
             "repro_front_batch_distinct_targets",
             "Distinct request labels per coalesced flush",
@@ -100,6 +114,11 @@ class Coalescer:
     @property
     def pending(self) -> int:
         return len(self._pending)
+
+    @property
+    def busy(self) -> bool:
+        """True while a flush of this coalescer is still being served."""
+        return self._outstanding > 0
 
     def _get_loop(self) -> asyncio.AbstractEventLoop:
         if self._loop is None:
@@ -114,30 +133,26 @@ class Coalescer:
     ) -> "asyncio.Future":
         """Queue one request; returns the future its result resolves.
 
-        ``trace``/``timings`` ride with the entry to the shard worker —
-        the flush timer fires outside the request's coroutine (no
-        :mod:`contextvars` inheritance), so the context must travel
-        explicitly.
+        Flushes at once when the shard is idle (or the parked run hits
+        ``max_batch``); otherwise the request parks until the
+        outstanding batch settles.  ``trace``/``timings`` ride with the
+        entry to the shard worker — a parked entry is flushed from
+        another request's completion (no :mod:`contextvars`
+        inheritance), so the context must travel explicitly.
         """
-        loop = self._get_loop()
-        future: asyncio.Future = loop.create_future()
+        future: asyncio.Future = self._get_loop().create_future()
         if timings is not None:
             timings.submitted = time.perf_counter()
         self._pending.append(Entry(request, future, trace, timings))
-        if len(self._pending) >= self.max_batch:
+        if not self._outstanding or len(self._pending) >= self.max_batch:
             self.flush_now()
-        elif self._timer is None:
-            if self.window_s == 0:
-                self.flush_now()
-            else:
-                self._timer = loop.call_later(self.window_s, self.flush_now)
         return future
 
     def flush_now(self) -> int:
-        """Flush the pending batch immediately; returns its size."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        """Flush the pending batch immediately; returns its size.
+
+        Submit flushes whenever the parked run reaches ``max_batch``,
+        so a flush never exceeds the cap."""
         if not self._pending:
             return 0
         batch, self._pending = self._pending, []
@@ -154,14 +169,29 @@ class Coalescer:
                 for entry in batch
             }
             self._distinct_histogram.observe(float(len(labels)))
-        self._flush_fn(batch)
+        self._outstanding += 1
+        settled = False
+
+        def done() -> None:
+            nonlocal settled
+            if settled:
+                return
+            settled = True
+            self._outstanding -= 1
+            if not self._outstanding:
+                self.flush_now()
+
+        try:
+            self._flush_fn(batch, done)
+        except Exception as exc:  # noqa: BLE001 - failed into the futures
+            for entry in batch:
+                if not entry.future.done():
+                    entry.future.set_exception(exc)
+            done()
         return len(batch)
 
     def close(self) -> None:
-        """Cancel the timer and fail any stranded entries."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        """Fail any parked entries (outstanding batches still settle)."""
         batch, self._pending = self._pending, []
         for entry in batch:
             if not entry.future.done():

@@ -7,9 +7,9 @@ serving discipline behind it is:
 * ``POST /recommend`` — one unified request.  Parsed with structured
   validation (400s name the field), routed by consistent hash, gated
   by admission control (503s carry ``retry_after_ms``), coalesced into
-  the shard's micro-batch window.
+  the shard's next micro-batch (at once when the shard is idle).
 * ``POST /batch`` — a request batch; split per shard and submitted
-  directly (the client already batched — no window).
+  directly (the client already batched — no coalescing).
 * ``POST /admin/swap`` — refit (or reuse the snapshot) and hot-swap
   every shard with zero downtime; returns the swap report.
 * ``POST /admin/invalidate`` — drop cached votes (all or one
@@ -75,7 +75,6 @@ class FrontConfig:
     port: int = 0  # 0 = ephemeral; the bound port is on the handle
     shards: int = 2
     max_inflight: int = 512
-    batch_window_ms: float = 2.0
     max_batch: int = 32
     max_queue: int = 256
     cache_size: int = 4096
@@ -83,9 +82,17 @@ class FrontConfig:
     #: name their own (None = the service's default set).
     parameters: Optional[Tuple[str, ...]] = None
 
-    def __post_init__(self) -> None:
-        if self.batch_window_ms < 0:
-            raise ValueError("batch window must be >= 0")
+
+def _content_length(headers: Dict[str, str]) -> Optional[int]:
+    """The declared body length; ``None`` unless the header is absent,
+    empty or plain ASCII digits (``int()`` alone would accept signs,
+    whitespace, underscores and non-ASCII digits)."""
+    raw = headers.get("content-length", "")
+    if not raw:
+        return 0
+    if not (raw.isascii() and raw.isdigit()):
+        return None
+    return int(raw)
 
 
 @dataclass
@@ -132,7 +139,6 @@ class FrontServer:
         for shard in self.shard_set.shards:
             self._coalescers[shard.shard_id] = Coalescer(
                 self._make_flush(shard),
-                window_s=self.config.batch_window_ms / 1000.0,
                 max_batch=self.config.max_batch,
                 loop=self._loop,
             )
@@ -170,7 +176,7 @@ class FrontServer:
     def _make_flush(self, shard: EngineShard):
         """The coalescer flush: hand one micro-batch to the shard."""
 
-        def flush(batch):
+        def flush(batch, done):
             requests = [entry.request for entry in batch]
             futures = [entry.future for entry in batch]
             traces = [entry.trace for entry in batch]
@@ -179,7 +185,7 @@ class FrontServer:
             def on_done(results, error):
                 # Runs on the shard worker thread.
                 self._loop.call_soon_threadsafe(
-                    self._resolve_batch, shard, futures, results, error
+                    self._resolve_batch, shard, futures, results, error, done
                 )
 
             try:
@@ -196,10 +202,14 @@ class FrontServer:
                                 shed.retry_after_ms, shed.shard,
                             )
                         )
+                done()
 
         return flush
 
-    def _resolve_batch(self, shard, futures, results, error) -> None:
+    def _resolve_batch(self, shard, futures, results, error, done) -> None:
+        # Release the shard first: the parked run goes straight back to
+        # the worker while this batch's responses are written.
+        done()
         if error is not None:
             for future in futures:
                 if not future.done():
@@ -324,8 +334,8 @@ class FrontServer:
         if not requests:
             return 200, {"results": []}
         # The client already batched: admit the whole batch, split it
-        # per shard and submit directly — no coalescing window.  One
-        # trace and one (aggregate) timings object cover the batch.
+        # per shard and submit directly — no coalescing.  One trace and
+        # one (aggregate) timings object cover the batch.
         with tracing.span("front.admission", batch=len(requests)):
             self._admission.admit(weight=len(requests))
         started = time.perf_counter()
@@ -449,7 +459,14 @@ class FrontServer:
                 if headers.get("connection", "").lower() == "close":
                     state.keep_alive = False
                 body = b""
-                length = int(headers.get("content-length", "0") or "0")
+                length = _content_length(headers)
+                if length is None:
+                    # The framing is unknowable: answer, then close
+                    # rather than guess where the next request starts.
+                    await self._respond(
+                        writer, 400, {"error": "bad_content_length"}
+                    )
+                    break
                 if length:
                     if length > _MAX_BODY_BYTES:
                         await self._respond(

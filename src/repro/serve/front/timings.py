@@ -5,14 +5,15 @@ response write, collecting monotonic stamps at every hand-off:
 
 * ``accepted`` — request parsed and routed (the front door),
 * ``submitted`` — admitted and handed to the shard's coalescer,
-* ``flushed`` — the coalescer window closed and the micro-batch was
-  enqueued on the shard,
+* ``flushed`` — the coalescer flushed the micro-batch onto the shard
+  (at once on an idle shard; after the in-flight batch otherwise),
 * ``dequeued`` — the shard worker picked the batch up,
 
 plus two measured durations: ``engine_s`` (the service/engine call,
 straight from ``RecommendResult.duration_s``) and ``serialize_s``
 (building the response body).  The derived phases — ``queue`` (shard
-queue wait), ``coalesce`` (window wait), ``engine``, ``serialize`` —
+queue wait), ``coalesce`` (parked behind the shard's in-flight
+batch), ``engine``, ``serialize`` —
 are what the ``Server-Timing`` response header and the body's
 ``timings`` field expose, and what the retroactive ``front.coalesce`` /
 ``front.queue`` spans are cut from.
@@ -69,7 +70,7 @@ class RequestTimings:
 
     @property
     def coalesce_s(self) -> float:
-        """Time parked in the coalescer window (submit → flush)."""
+        """Time parked in the coalescer (submit → flush)."""
         return self._delta(self.submitted, self.flushed)
 
     @property

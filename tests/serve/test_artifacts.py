@@ -295,3 +295,27 @@ class TestExternalStorePersistence:
         engine = engine_from_dict(payload, dataset.network, dataset.store)
         assert engine.config.store == "memory"
         assert engine.fitted_parameters() == fitted_engine.fitted_parameters()
+
+
+class TestAtomicSave:
+    def test_crash_mid_save_keeps_previous_artifact(
+        self, fitted_engine, dataset, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "engine.json"
+        save_engine(fitted_engine, str(path))
+        before = path.read_bytes()
+        real_dump = json.dump
+
+        def torn_dump(payload, handle, *args, **kwargs):
+            handle.write(json.dumps(payload)[:100])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", torn_dump)
+        with pytest.raises(OSError, match="disk full"):
+            save_engine(fitted_engine, str(path))
+        monkeypatch.setattr(json, "dump", real_dump)
+
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["engine.json"]
+        engine = load_engine(str(path), dataset.network, dataset.store)
+        assert engine.fitted_parameters() == fitted_engine.fitted_parameters()

@@ -130,6 +130,9 @@ class TestAdmission:
 
 
 class TestCoalescer:
+    """Natural batching: an idle shard flushes at once, a busy one parks
+    arrivals until its outstanding batch settles."""
+
     def _run(self, coro):
         loop = asyncio.new_event_loop()
         try:
@@ -137,68 +140,179 @@ class TestCoalescer:
         finally:
             loop.close()
 
-    def test_flushes_on_max_batch(self):
+    @staticmethod
+    def _recording():
+        """A flush callback that records ``(batch, done)`` pairs."""
         flushed = []
+        return flushed, lambda batch, done: flushed.append((batch, done))
+
+    @staticmethod
+    def _settle(batch, done):
+        for entry in batch:
+            entry.future.cancel()
+        done()
+
+    def test_idle_submit_flushes_synchronously(self):
+        flushed, flush = self._recording()
 
         async def scenario():
-            coalescer = Coalescer(
-                flush=flushed.append, window_s=10.0, max_batch=3
-            )
-            futures = [coalescer.submit(object()) for _ in range(3)]
-            # max_batch reached: the flush happened synchronously.
-            assert len(flushed) == 1
-            assert len(flushed[0]) == 3
+            loop = asyncio.get_running_loop()
+
+            def no_timer(*args, **kwargs):
+                raise AssertionError("the coalescer armed a timer")
+
+            loop.call_later = no_timer
+            loop.call_at = no_timer
+            coalescer = Coalescer(flush=flush, max_batch=100, loop=loop)
+            assert not coalescer.busy
+            coalescer.submit(object())
+            # No await in between: the idle shard flushed inline.
+            assert [len(batch) for batch, _ in flushed] == [1]
             assert coalescer.pending == 0
-            for entry in flushed[0]:
-                entry.future.cancel()
-            await asyncio.sleep(0)
+            assert coalescer.busy
+            self._settle(*flushed[0])
+            assert not coalescer.busy
+            # Idle again: the next lone request flushes at once too.
+            coalescer.submit(object())
+            assert [len(batch) for batch, _ in flushed] == [1, 1]
+            self._settle(*flushed[1])
+
+        self._run(scenario())
+
+    def test_busy_submits_park_then_flush_as_one_batch(self):
+        flushed, flush = self._recording()
+
+        async def scenario():
+            coalescer = Coalescer(flush=flush, max_batch=100)
+            first = object()
+            coalescer.submit(first)
+            parked = [object() for _ in range(3)]
+            for request in parked:
+                coalescer.submit(request)
+            # Shard busy with the first flush: the rest wait, no matter
+            # how long the loop runs.
+            await asyncio.sleep(0.02)
+            assert len(flushed) == 1
+            assert coalescer.pending == 3
+            batch, done = flushed[0]
+            assert [entry.request for entry in batch] == [first]
+            self._settle(batch, done)
+            # Completion flushed the parked run as one batch, in order.
+            assert len(flushed) == 2
+            assert [entry.request for entry in flushed[1][0]] == parked
+            assert coalescer.pending == 0
+            assert coalescer.busy
+            # ``done`` is idempotent: a second call releases nothing.
+            done()
+            assert coalescer.busy
+            self._settle(*flushed[1])
+            assert not coalescer.busy
+
+        self._run(scenario())
+
+    def test_flushes_on_max_batch(self):
+        flushed, flush = self._recording()
+
+        async def scenario():
+            coalescer = Coalescer(flush=flush, max_batch=3)
+            futures = [coalescer.submit(object()) for _ in range(7)]
+            # 1 (idle) + 3 (cap reached while busy) flushed inline; the
+            # last 3 hit the cap too.
+            assert [len(batch) for batch, _ in flushed] == [1, 3, 3]
+            assert coalescer.pending == 0
+            coalescer.submit(object())
+            assert coalescer.pending == 1  # below the cap, still busy
+            for batch, done in list(flushed):
+                self._settle(batch, done)
+            # The last completion flushes the parked remainder.
+            assert [len(batch) for batch, _ in flushed] == [1, 3, 3, 1]
+            assert max(len(batch) for batch, _ in flushed) <= 3
+            self._settle(*flushed[-1])
+            assert not coalescer.busy
             return futures
 
         self._run(scenario())
 
-    def test_flushes_on_window_expiry(self):
-        flushed = []
+    def test_shed_releases_busy_state(self):
+        calls = []
+
+        def flush(batch, done):
+            calls.append(len(batch))
+            # What the front end does on ``queue.Full``: fail the
+            # batch, then release it synchronously.
+            for entry in batch:
+                entry.future.set_exception(queue.Full())
+            done()
 
         async def scenario():
-            coalescer = Coalescer(
-                flush=flushed.append, window_s=0.01, max_batch=100
-            )
-            coalescer.submit(object())
-            coalescer.submit(object())
-            assert flushed == []  # window still open
-            await asyncio.sleep(0.05)
-            assert len(flushed) == 1
-            assert len(flushed[0]) == 2
-            for entry in flushed[0]:
-                entry.future.cancel()
+            coalescer = Coalescer(flush=flush, max_batch=100)
+            for _ in range(3):
+                future = coalescer.submit(object())
+                with pytest.raises(queue.Full):
+                    await future
+                # Never stuck busy: every later submit flushes at once.
+                assert not coalescer.busy
+                assert coalescer.pending == 0
+            assert calls == [1, 1, 1]
 
         self._run(scenario())
 
-    def test_zero_window_flushes_immediately(self):
-        flushed = []
+    def test_errored_batch_releases_busy_state(self):
+        flushed, flush = self._recording()
 
         async def scenario():
-            coalescer = Coalescer(
-                flush=flushed.append, window_s=0.0, max_batch=100
-            )
-            coalescer.submit(object())
-            assert len(flushed) == 1
-            for entry in flushed[0]:
-                entry.future.cancel()
+            coalescer = Coalescer(flush=flush, max_batch=100)
+            failing = coalescer.submit(object())
+            parked = coalescer.submit(object())
+            batch, done = flushed[0]
+            # The shard worker raised: the front end fails the batch's
+            # futures and releases it on the loop.
+            for entry in batch:
+                entry.future.set_exception(RuntimeError("engine failed"))
+            done()
+            with pytest.raises(RuntimeError, match="engine failed"):
+                await failing
+            # The parked request was flushed, not stranded.
+            assert len(flushed) == 2
+            assert flushed[1][0][0].future is parked
+            self._settle(*flushed[1])
+            assert not coalescer.busy
+
+        self._run(scenario())
+
+    def test_raising_flush_fails_its_batch_and_releases(self):
+        def flush(batch, done):
+            raise RuntimeError("shard gone")
+
+        async def scenario():
+            coalescer = Coalescer(flush=flush, max_batch=100)
+            future = coalescer.submit(object())
+            assert not coalescer.busy
+            with pytest.raises(RuntimeError, match="shard gone"):
+                await future
 
         self._run(scenario())
 
     def test_close_fails_stranded_futures(self):
+        flushed, flush = self._recording()
+
         async def scenario():
-            coalescer = Coalescer(
-                flush=lambda batch: None, window_s=10.0, max_batch=100
-            )
-            future = coalescer.submit(object())
+            coalescer = Coalescer(flush=flush, max_batch=100)
+            coalescer.submit(object())  # in flight on the shard
+            future = coalescer.submit(object())  # parked behind it
             coalescer.close()
             with pytest.raises(RuntimeError, match="coalescer closed"):
                 await future
+            assert coalescer.pending == 0
+            # A late completion after close flushes nothing.
+            self._settle(*flushed[0])
+            assert len(flushed) == 1
 
         self._run(scenario())
+
+    def test_rejects_non_positive_max_batch(self):
+        with pytest.raises(ValueError, match="max_batch"):
+            Coalescer(flush=lambda batch, done: None, max_batch=0)
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,10 @@ hints, batch ordering, admin hot-swap and the observability endpoints.
 
 import http.client
 import json
+import queue
+import socket
 import threading
+import time
 
 import pytest
 
@@ -27,7 +30,6 @@ def front(fitted_engine, rulebook):
         FrontConfig(
             shards=2,
             max_inflight=64,
-            batch_window_ms=1.0,
             parameters=SINGULAR,
         ),
     )
@@ -228,7 +230,6 @@ class TestLoadShedding:
             FrontConfig(
                 shards=1,
                 max_inflight=1,
-                batch_window_ms=0.0,
                 parameters=SINGULAR,
             ),
         )
@@ -269,3 +270,160 @@ class TestLoadShedding:
         finally:
             handle.stop()
             shard_set.stop()
+
+
+def raw_exchange(port, data, timeout=10.0):
+    """Send raw bytes on a fresh socket; return everything the server
+    writes before it closes the connection."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(data)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestBadContentLength:
+    @pytest.mark.parametrize("value", ["abc", "-5", "+5", "1_0", "²"])
+    def test_answers_400_and_closes(self, front, client, value):
+        _, handle = front
+        request = (
+            "POST /recommend HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {value}\r\n\r\n"
+        ).encode("latin-1")
+        raw = raw_exchange(handle.port, request + b'{"carrier": "0.0.0.0"}')
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body) == {"error": "bad_content_length"}
+        # The server survived and still answers on other connections.
+        status, health, _ = call(client, "GET", "/healthz")
+        assert status == 200
+        assert health["status"] == "ok"
+
+
+@pytest.fixture()
+def single_shard(fitted_engine, rulebook):
+    shard_set = ShardSet(fitted_engine, rulebook, shards=1, max_queue=64)
+    handle = serve_in_thread(
+        shard_set,
+        FrontConfig(shards=1, max_inflight=64, parameters=SINGULAR),
+    )
+    yield shard_set, handle
+    handle.stop()
+    shard_set.stop()
+
+
+class TestNaturalBatching:
+    def test_sequential_requests_pay_no_coalesce_wait(
+        self, single_shard, carrier_keys
+    ):
+        _, handle = single_shard
+        conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=30)
+        try:
+            for key in carrier_keys[:5]:
+                status, body, _ = call(
+                    conn, "POST", "/recommend", {"carrier": key}
+                )
+                assert status == 200
+                # An idle shard flushes inside the submit call.
+                assert body["timings"]["coalesce_ms"] < 1.0
+        finally:
+            conn.close()
+
+    def test_requests_park_while_the_shard_is_busy(
+        self, single_shard, carrier_keys
+    ):
+        shard_set, handle = single_shard
+        service = shard_set.shards[0].service
+        real = service.handle_batch
+        first = threading.Event()
+
+        def slow_first_batch(*args, **kwargs):
+            if not first.is_set():
+                first.set()
+                time.sleep(0.3)
+            return real(*args, **kwargs)
+
+        service.handle_batch = slow_first_batch
+        statuses = []
+
+        def fire(key):
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", handle.port, timeout=30
+            )
+            try:
+                statuses.append(
+                    call(conn, "POST", "/recommend", {"carrier": key})[0]
+                )
+            finally:
+                conn.close()
+
+        try:
+            fire(carrier_keys[0])  # warm-up request rides the slow batch
+            assert first.is_set()
+            first.clear()
+            threads = [
+                threading.Thread(target=fire, args=(carrier_keys[i % 4],))
+                for i in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            del service.handle_batch
+        assert statuses == [200] * 9
+        stats = shard_set.stats()
+        assert stats["served"] == 9
+        # Requests arriving during the slow batch coalesced.
+        assert stats["batches"] < stats["served"] - 1
+
+    def test_shard_serves_after_engine_errors(self, single_shard, carrier_keys):
+        _, handle = single_shard
+        conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=30)
+        try:
+            for _ in range(3):
+                status, _, _ = call(
+                    conn, "POST", "/recommend",
+                    {"carrier": carrier_keys[0], "parameters": ["notAParameter"]},
+                )
+                assert status == 500
+            status, _, _ = call(
+                conn, "POST", "/recommend", {"carrier": carrier_keys[0]}
+            )
+            assert status == 200
+        finally:
+            conn.close()
+
+    def test_shard_serves_after_a_queue_full_shed(
+        self, single_shard, carrier_keys
+    ):
+        shard_set, handle = single_shard
+        shard = shard_set.shards[0]
+        real = shard.submit_batch
+        calls = []
+
+        def full_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise queue.Full
+            return real(*args, **kwargs)
+
+        shard.submit_batch = full_once
+        conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=30)
+        try:
+            status, body, _ = call(
+                conn, "POST", "/recommend", {"carrier": carrier_keys[0]}
+            )
+            assert status == 503
+            assert body["reason"] == "shard_queue"
+            status, _, _ = call(
+                conn, "POST", "/recommend", {"carrier": carrier_keys[0]}
+            )
+            assert status == 200
+        finally:
+            conn.close()
+            del shard.submit_batch

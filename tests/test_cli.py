@@ -263,3 +263,48 @@ class TestObservabilityCommands:
             assert by_id[child["parent_id"]]["name"] in (
                 "engine.fit", "pool.task:_fit_task"
             )
+
+
+class TestServeShutdown:
+    def test_sigint_runs_cleanup_and_flushes_trace(self, tmp_path):
+        """Ctrl-C on a long-running ``repro serve --trace`` unwinds
+        through the command's cleanup (exit 0, not death by signal) with
+        the span file and the flight recorder's exit dump flushed."""
+        import http.client
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        trace = tmp_path / "f.jsonl"
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--workload", "tiny",
+             "--port", "0", "--trace", str(trace),
+             "--flight-dir", str(tmp_path / "flight")],
+            cwd=str(tmp_path), env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            line = process.stdout.readline()
+            assert line.startswith("serving on "), process.stderr.read()
+            port = int(line.split()[2].rsplit(":", 1)[1])
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            conn.request("POST", "/recommend", body=b'{"carrier": "0.0.0.0"}')
+            assert conn.getresponse().status == 200
+            conn.close()
+            process.send_signal(signal.SIGINT)
+            _, stderr = process.communicate(timeout=60)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0, stderr
+        names = {json.loads(line)["name"]
+                 for line in trace.read_text().splitlines()}
+        assert "front.request" in names
+        dumps = list((tmp_path / "flight").glob("flight-*-exit.jsonl"))
+        assert len(dumps) == 1
