@@ -394,17 +394,14 @@ class AuricEngine:
             if jobs != 1 and len(specs) > 1:
                 from repro.parallel.fit import fit_parameter_models
 
-                fitted = fit_parameter_models(
-                    self.network,
-                    self.store,
-                    self.config,
-                    [spec.name for spec in specs],
-                    vote_weights=vote_weights,
-                    jobs=jobs,
-                    columnar=self._columnar,
-                    phase_sink=self._fit_phases,
+                self._models.update(
+                    fit_parameter_models(
+                        self,
+                        [spec.name for spec in specs],
+                        vote_weights=vote_weights,
+                        jobs=jobs,
+                    )
                 )
-                self._models.update(fitted)
             else:
                 for spec in specs:
                     self._models[spec.name] = self._fit_parameter(
@@ -563,23 +560,21 @@ class AuricEngine:
         vote_weights: Optional[Dict[Hashable, float]] = None,
     ) -> _ParameterModel:
         with tracing.span("engine.fit_parameter", parameter=spec.name) as sp:
-            model = self._fit_parameter_impl(spec, vote_weights)
+            if self.config.columnar:
+                model = self._fit_parameter_columnar(spec, vote_weights)
+            else:
+                model = self._fit_parameter_tuples(spec, vote_weights)
             sp.set("samples", len(model.samples))
             sp.set("dependent", list(model.dependent_names))
             return model
 
-    def _fit_parameter_impl(
+    def _fit_parameter_tuples(
         self,
         spec: ParameterSpec,
         vote_weights: Optional[Dict[Hashable, float]] = None,
     ) -> _ParameterModel:
-        if self.config.columnar:
-            try:
-                return self._fit_parameter_columnar(spec, vote_weights)
-            except ColumnarCapacityError:
-                # Vocabularies too large for int64 cell packing — fall
-                # back to the tuple-keyed path for this parameter.
-                pass
+        """Fit one parameter from raw attribute tuples (no columnar
+        snapshot, or a cell key space too large for int64 packing)."""
         keys, rows, labels = self._collect_samples(spec)
         if not keys:
             raise RecommendationError(
@@ -666,7 +661,7 @@ class AuricEngine:
     ) -> _ParameterModel:
         """Fit one parameter from the encoded snapshot.
 
-        Byte-identical to ``_fit_parameter_impl``: codes are bijective
+        Byte-identical to ``_fit_parameter_tuples``: codes are bijective
         with raw values per column (same first-appearance order), so
         attribute selection sees identical contingency tables, and the
         grouped-vote kernel emits (cell, label) groups in the exact
@@ -676,12 +671,38 @@ class AuricEngine:
         Split into :meth:`_select_columnar` (chi-square attribute
         selection) and :meth:`_build_columnar_model` (vote structures)
         so the incremental-refit path can reuse a previous selection
-        when the changelog provably cannot have altered it.
+        when the changelog provably cannot have altered it, and pool
+        workers ship only the selection back to the master.  A cell key
+        space too large for int64 packing — in the selection's strata or
+        in the vote build — refits the parameter on the tuple path.
         """
-        dependent, dependent_stats = self._select_columnar(spec)
-        return self._build_columnar_model(
-            spec, dependent, dependent_stats, vote_weights
-        )
+        try:
+            selection = self._select_columnar(spec)
+        except ColumnarCapacityError:
+            selection = None
+        return self._model_from_selection(spec, selection, vote_weights)
+
+    def _model_from_selection(
+        self,
+        spec: ParameterSpec,
+        selection: Optional[
+            Tuple[Tuple[int, ...], Tuple[AttributeDependence, ...]]
+        ],
+        vote_weights: Optional[Dict[Hashable, float]] = None,
+    ) -> _ParameterModel:
+        """The fitted model for a chi-square ``selection`` — the
+        ``(dependent, dependent_stats)`` pair :meth:`_select_columnar`
+        returns — with vote structures built from the columnar snapshot.
+        ``None`` (the selection overflowed int64 packing) or a build that
+        overflows refits the parameter on the tuple path instead."""
+        if selection is not None:
+            try:
+                return self._build_columnar_model(
+                    spec, *selection, vote_weights
+                )
+            except ColumnarCapacityError:
+                pass
+        return self._fit_parameter_tuples(spec, vote_weights)
 
     def _select_columnar(
         self, spec: ParameterSpec
@@ -849,6 +870,7 @@ class AuricEngine:
                     columnar.column_vocab(spec.name, col) for col in dependent
                 ],
                 sources=columns.sources,
+                neighbors=columns.neighbors,
                 carrier_ids=columnar.carrier_ids,
             )
         self._phase("vote", spec.name, time.perf_counter() - vote_started)

@@ -513,6 +513,7 @@ class EncodedVotes:
         "cell_tuples",
         "dep_vocabs",
         "sources",
+        "neighbors",
         "carrier_ids",
     )
 
@@ -525,6 +526,7 @@ class EncodedVotes:
         cell_tuples: Dict[int, Tuple],
         dep_vocabs: List[List[AttributeValue]],
         sources: np.ndarray,
+        neighbors: Optional[np.ndarray],
         carrier_ids: List[CarrierId],
     ) -> None:
         self.cell_codes = cell_codes
@@ -534,7 +536,46 @@ class EncodedVotes:
         self.cell_tuples = cell_tuples
         self.dep_vocabs = dep_vocabs
         self.sources = sources
+        self.neighbors = neighbors
         self.carrier_ids = carrier_ids
+
+    def describes(
+        self,
+        snapshot: "ColumnarSnapshot",
+        parameter: str,
+        dependent: Sequence[int],
+    ) -> bool:
+        """Whether ``snapshot`` holds exactly the encoded electorate this
+        stash was captured from — so rebuilding the model's vote
+        structures from that snapshot reproduces the model.
+
+        Compares content, not identity (pool transport and store files
+        hand out equal copies): carriers, label and target columns, and
+        the packed cells of the ``dependent`` attributes.
+        """
+        columns = snapshot.parameters.get(parameter)
+        if columns is None or len(columns) != len(self.label_codes):
+            return False
+        if (columns.neighbors is None) != (self.neighbors is None):
+            return False
+        if not (
+            self.carrier_ids == snapshot.carrier_ids
+            and self.label_vocab == columns.label_vocab
+            and np.array_equal(self.label_codes, columns.label_codes)
+            and np.array_equal(self.sources, columns.sources)
+            and (
+                columns.neighbors is None
+                or np.array_equal(self.neighbors, columns.neighbors)
+            )
+        ):
+            return False
+        sizes = snapshot.column_sizes(parameter)
+        if self.dep_vocabs != [
+            snapshot.column_vocab(parameter, col) for col in dependent
+        ] or self.prefix_sizes != [int(sizes[col]) for col in dependent]:
+            return False
+        cells = pack_columns(snapshot.row_codes(parameter), dependent, sizes)
+        return bool(np.array_equal(cells, self.cell_codes))
 
     def vote_table(self) -> CellVoteTable:
         """The exact-cell plurality table, built vectorized."""

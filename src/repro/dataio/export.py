@@ -20,6 +20,15 @@ def dataset_to_dict(
     network: Network, store: ConfigurationStore
 ) -> Dict:
     """The JSON-serializable form of a network + configuration snapshot."""
+    return _dataset_payload(network, store, sort_config=True)
+
+
+def _dataset_payload(
+    network: Network, store: ConfigurationStore, sort_config: bool
+) -> Dict:
+    """:func:`dataset_to_dict`, optionally leaving the configured values
+    in store order: a canonical ``sort_keys`` dump re-sorts them by key
+    string anyway, so hashing skips the sort over dataclass keys."""
     markets = []
     for market in network.markets:
         enodebs = []
@@ -50,21 +59,32 @@ def dataset_to_dict(
             }
         )
 
+    # One pass over the store's targets, each key rendered once, instead
+    # of one dict (and, for export, one sort) per parameter.  Blocks are
+    # created in catalog order and filled in target order, so the export
+    # is identical to sorting each parameter's values by key.
     singular: Dict[str, Dict[str, object]] = {}
     pairwise: Dict[str, Dict[str, object]] = {}
     for spec in store.catalog.range_parameters():
-        if spec.is_pairwise:
-            values = store.pairwise_values(spec.name)
-            if values:
-                pairwise[spec.name] = {
-                    pair_key_to_str(k): v for k, v in sorted(values.items())
-                }
-        else:
-            values = store.singular_values(spec.name)
-            if values:
-                singular[spec.name] = {
-                    carrier_key_to_str(k): v for k, v in sorted(values.items())
-                }
+        (pairwise if spec.is_pairwise else singular)[spec.name] = {}
+    carriers = store.carriers()
+    pairs = store.pairs()
+    if sort_config:
+        carriers, pairs = sorted(carriers), sorted(pairs)
+    for carrier in carriers:
+        text = carrier_key_to_str(carrier)
+        for name, value in store.carrier_config(carrier).items():
+            block = singular.get(name)
+            if block is not None:
+                block[text] = value
+    for pair in pairs:
+        text = pair_key_to_str(pair)
+        for name, value in store.pair_config(pair).items():
+            block = pairwise.get(name)
+            if block is not None:
+                block[text] = value
+    singular = {name: block for name, block in singular.items() if block}
+    pairwise = {name: block for name, block in pairwise.items() if block}
 
     return {
         "schema_version": SCHEMA_VERSION,
@@ -88,7 +108,7 @@ def snapshot_fingerprint(network: Network, store: ConfigurationStore) -> str:
     model can be checked against the snapshot it is served with: same
     carriers, same topology, same configured values → same fingerprint.
     """
-    payload = dataset_to_dict(network, store)
+    payload = _dataset_payload(network, store, sort_config=False)
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

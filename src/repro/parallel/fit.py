@@ -1,12 +1,19 @@
 """Parallel per-parameter engine fitting.
 
 Each worker rebuilds one :class:`~repro.core.auric.AuricEngine` over the
-shared snapshot payload (once per pool lifetime) and fits parameters
-from it.  Determinism holds by construction: attribute-selection
-subsampling draws from a per-parameter derived RNG stream
-(``derive(seed, "fit-sample:<name>")``), so a parameter's fitted model
-never depends on which worker fit it or what else that worker fit
-before.
+shared snapshot payload (once per pool lifetime) and runs the
+chi-square attribute selection for parameters from it.  Determinism
+holds by construction: attribute-selection subsampling draws from a
+per-parameter derived RNG stream (``derive(seed, "fit-sample:<name>")``),
+so a parameter's selection never depends on which worker ran it or what
+else that worker ran before.
+
+A task result is the selection — a few column indexes and their
+chi-square statistics — not the fitted model.  The vote structures
+(one entry per configured target) are a deterministic function of the
+selection and the encoded snapshot, which the master already holds, so
+the master rebuilds them there instead of unpickling them from every
+worker.
 
 When the master has already encoded the snapshot into a
 :class:`~repro.core.columnar.ColumnarSnapshot`, it rides along in the
@@ -24,6 +31,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, Optional, Sequence
 
 from repro.obs import metrics as obs_metrics
+from repro.obs import tracing
 from repro.parallel.pool import get_payload, run_tasks
 
 # Per-process worker state, keyed on payload identity so it is rebuilt
@@ -47,46 +55,70 @@ def _worker_engine():
 
 
 def _fit_task(parameter: str):
+    from repro.core.columnar import ColumnarCapacityError
+
     engine = _worker_engine()
-    vote_weights = get_payload()[3]
     spec = engine.catalog.spec(parameter)
-    model = engine._fit_parameter(spec, vote_weights)
+    if engine.config.columnar:
+        # Only the selection crosses back: the master rebuilds the vote
+        # structures from its own copy of the snapshot.  ``None`` marks
+        # a selection whose strata overflowed int64 cell packing; the
+        # master refits that parameter on the tuple path.
+        with tracing.span("engine.fit_parameter", parameter=parameter) as sp:
+            try:
+                result = engine._select_columnar(spec)
+            except ColumnarCapacityError:
+                result = None
+                sp.set("capacity_overflow", True)
+            else:
+                names = engine.attribute_names(spec)
+                sp.set("dependent", [names[col] for col in result[0]])
+    else:
+        result = engine._fit_parameter(spec, get_payload()[3])
     # Worker registries are disabled, so phase timings ride back on the
     # task result for the master to observe (see fit-pipeline metrics).
-    return parameter, model, engine._take_fit_phases()
+    return parameter, result, engine._take_fit_phases()
 
 
 def fit_parameter_models(
-    network,
-    store,
-    config,
+    engine,
     parameters: Sequence[str],
     vote_weights: Optional[Dict[Hashable, float]] = None,
     jobs: int = 1,
-    columnar=None,
-    phase_sink: Optional[Dict] = None,
 ) -> Dict[str, object]:
     """Fit dependency models for many parameters across a process pool.
 
     Returns ``{parameter: _ParameterModel}`` in input order, identical
-    to fitting the same parameters serially on one engine.  ``columnar``
-    optionally carries the master's encoded snapshot to the workers.
-    ``phase_sink``, when given, accumulates the workers' per-parameter
-    fit-phase wall clock (``{(phase, parameter): seconds}``) so the
-    master can surface ``repro_fit_phase_seconds`` — worker processes
-    run with metrics disabled and cannot observe it themselves.
+    to fitting the same parameters serially on ``engine``.  Workers run
+    the chi-square selection against the master's encoded snapshot and
+    return ``(dependent_columns, dependent_stats)``; the master builds
+    each model from its own snapshot (a parameter whose cell key space
+    overflows int64 packing, in the worker's selection or in the
+    master's build, refits there on the tuple path).  Only a
+    non-columnar engine ships whole models back.  Worker phase timings
+    merge into ``engine``'s fit-phase breakdown — worker processes run
+    with metrics disabled and cannot observe it themselves.
     """
+    columnar = engine.columnar_snapshot()
     if columnar is not None and getattr(columnar, "_backing", None) is not None:
         obs_metrics.counter(
             "repro_store_pool_reference_total",
             "Pool fits whose snapshot shipped as an mmap store reference",
         ).inc(1.0)
-    payload = (network, store, config, vote_weights, columnar)
+    payload = (engine.network, engine.store, engine.config, vote_weights, columnar)
     results = run_tasks(payload, _fit_task, list(parameters), jobs=jobs)
     fitted = {}
-    for parameter, model, phases in results:
-        fitted[parameter] = model
-        if phase_sink is not None:
-            for key, seconds in phases.items():
-                phase_sink[key] = phase_sink.get(key, 0.0) + seconds
+    for parameter, result, phases in results:
+        for (phase, name), seconds in phases.items():
+            engine._phase(phase, name, seconds)
+        if engine.config.columnar:
+            with tracing.span(
+                "engine.build_parameter", parameter=parameter
+            ) as sp:
+                result = engine._model_from_selection(
+                    engine.catalog.spec(parameter), result, vote_weights
+                )
+                sp.set("samples", len(result.samples))
+                sp.set("dependent", list(result.dependent_names))
+        fitted[parameter] = result
     return fitted

@@ -8,12 +8,26 @@ dependent attributes, vote samples and weights, plus the
 document, and loads it back so that a reloaded engine produces
 recommendations *identical* to the engine that was fitted live.
 
-Identity is guaranteed by serializing the raw per-target samples in
-their original (sorted-key) order and rebuilding every derived index —
-cell index, global counts, by-carrier index — by replaying that order,
-exactly as ``AuricEngine._fit_parameter`` accumulated them.  Weighted
-(float) vote counts therefore sum in the same order and land on the
-same values bit-for-bit.
+A model is stored in one of two forms:
+
+* **derived** (schema v5): an unweighted columnar-fitted model whose
+  electorate is exactly the encoded snapshot in the artifact's external
+  columnar store carries only its chi-square selection and the marker
+  ``"samples_from": "columnar"``.  Load rebuilds its vote structures
+  with ``AuricEngine._build_columnar_model`` from that snapshot — the
+  same code the fit ran, so the rebuilt model is field-for-field equal.
+  The store reference records the snapshot's
+  :meth:`~repro.core.columnar.ColumnarSnapshot.fingerprint`; a store
+  file that no longer matches it fails the load instead of rebuilding
+  silently wrong models.
+* **inline**: the raw per-target samples in their original (sorted-key)
+  order.  Load rebuilds every derived index — cell index, global
+  counts, by-carrier index — by replaying that order, exactly as the fit
+  accumulated them, so weighted (float) vote counts sum in the same
+  order and land on the same values bit-for-bit.  Weighted models,
+  models changed by an incremental refresh, models whose columns were
+  invalidated and every model of an artifact without an external store
+  stay inline.
 
 Artifacts embed the :func:`~repro.dataio.export.snapshot_fingerprint`
 of the snapshot the engine was fitted on; loading against a different
@@ -44,6 +58,7 @@ from repro.netmodel.network import Network
 from repro.obs import journal as obs_journal
 from repro.obs.health import DriftBaseline
 from repro.obs.provenance import AttributeDependence
+from repro.store.base import replace_durably, sync_file
 
 #: Version of the artifact document schema (bump on layout changes).
 #: v2 adds the optional ``columnar`` snapshot section and the
@@ -54,13 +69,20 @@ from repro.obs.provenance import AttributeDependence
 #: — the encoded snapshot lives in an external
 #: :class:`repro.store.SnapshotStore` file (mmap-openable) next to the
 #: artifact instead of inline JSON.  All additive, so v1–v3 documents
-#: still load (the engine re-encodes / re-captures on demand).
-ARTIFACT_SCHEMA_VERSION = 4
+#: still load (the engine re-encodes / re-captures on demand).  v5 adds
+#: derived models (``"samples_from": "columnar"`` instead of
+#: ``samples``) and the ``fingerprint`` of the referenced store's
+#: snapshot; v1–v4 documents carry inline samples only and load as
+#: before.
+ARTIFACT_SCHEMA_VERSION = 5
 
 #: Schema versions :func:`engine_from_dict` accepts.
-SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3, 4)
+SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3, 4, 5)
 
 _ARTIFACT_KIND = "auric-engine-artifact"
+
+#: ``samples_from`` marker of a model rebuilt from the columnar store.
+_FROM_COLUMNAR = "columnar"
 
 
 class ArtifactError(RecommendationError):
@@ -75,32 +97,55 @@ def _key_from_str(text: str, pairwise: bool) -> Hashable:
     return pair_key_from_str(text) if pairwise else carrier_key_from_str(text)
 
 
-def _model_to_dict(model: _ParameterModel) -> Dict:
+def _derives_from(
+    model: _ParameterModel, snapshot: Optional[ColumnarSnapshot]
+) -> bool:
+    """Whether ``model`` is exactly what rebuilding its selection from
+    ``snapshot`` produces (so it can be stored as a derived model)."""
+    encoded = model._encoded
+    return (
+        snapshot is not None
+        and encoded is not None
+        and not model.weights
+        and encoded.describes(
+            snapshot, model.spec.name, model.dependent_columns
+        )
+    )
+
+
+def _model_to_dict(model: _ParameterModel, derived: bool = False) -> Dict:
     pairwise = model.spec.is_pairwise
-    return {
+    payload = {
         "parameter": model.spec.name,
         "pairwise": pairwise,
         "dependent_columns": list(model.dependent_columns),
         "dependent_names": list(model.dependent_names),
+    }
+    if derived:
+        # Vote structures rebuild from the referenced columnar store.
+        payload["samples_from"] = _FROM_COLUMNAR
+    else:
         # (key, cell, label) triples in fit order — everything else is
         # derived from these on load.
-        "samples": [
+        payload["samples"] = [
             [_key_to_str(key, pairwise), list(cell), label]
             for key, (cell, label) in model.samples.items()
-        ],
-        "weights": {
-            _key_to_str(key, pairwise): weight
-            for key, weight in model.weights.items()
-        },
-        # Chi-square provenance for the selected attributes; additive —
-        # pre-provenance artifacts simply lack the key.
-        "dependent_stats": [
-            stat.to_dict() for stat in model.dependent_stats
-        ],
+        ]
+    payload["weights"] = {
+        _key_to_str(key, pairwise): weight
+        for key, weight in model.weights.items()
     }
+    # Chi-square provenance for the selected attributes; additive —
+    # pre-provenance artifacts simply lack the key.
+    payload["dependent_stats"] = [
+        stat.to_dict() for stat in model.dependent_stats
+    ]
+    return payload
 
 
-def _model_from_dict(payload: Dict, engine: AuricEngine) -> _ParameterModel:
+def _model_from_dict(
+    payload: Dict, engine: AuricEngine, version: int
+) -> _ParameterModel:
     spec = engine.catalog.spec(payload["parameter"])
     pairwise = bool(payload["pairwise"])
     if spec.is_pairwise != pairwise:
@@ -108,6 +153,8 @@ def _model_from_dict(payload: Dict, engine: AuricEngine) -> _ParameterModel:
             f"artifact says {spec.name} is "
             f"{'pair-wise' if pairwise else 'singular'}, catalog disagrees"
         )
+    if "samples_from" in payload:
+        return _derived_model_from_dict(payload, engine, spec, version)
     weights: Dict[Hashable, float] = {
         _key_from_str(text, pairwise): float(weight)
         for text, weight in payload.get("weights", {}).items()
@@ -144,6 +191,41 @@ def _model_from_dict(payload: Dict, engine: AuricEngine) -> _ParameterModel:
     )
 
 
+def _derived_model_from_dict(
+    payload: Dict, engine: AuricEngine, spec, version: int
+) -> _ParameterModel:
+    """Rebuild a v5 derived model from the engine's columnar snapshot."""
+    if version < 5:
+        raise ArtifactError(
+            f"{spec.name}: derived models need artifact schema v5, "
+            f"document is v{version}"
+        )
+    source = payload["samples_from"]
+    if source != _FROM_COLUMNAR:
+        raise ArtifactError(f"{spec.name}: unknown samples_from {source!r}")
+    snapshot = engine.columnar_snapshot()
+    if snapshot is None or not snapshot.has_parameter(spec.name):
+        raise ArtifactError(
+            f"{spec.name} is derived from the columnar store, but the "
+            "artifact carries no snapshot with its columns to rebuild from"
+        )
+    model = engine._build_columnar_model(
+        spec,
+        tuple(int(c) for c in payload["dependent_columns"]),
+        tuple(
+            AttributeDependence.from_dict(item)
+            for item in payload.get("dependent_stats", ())
+        ),
+    )
+    if list(model.dependent_names) != list(payload["dependent_names"]):
+        raise ArtifactError(
+            f"{spec.name}: rebuilt dependent attributes "
+            f"{list(model.dependent_names)} do not match the artifact's "
+            f"{payload['dependent_names']}"
+        )
+    return model
+
+
 def engine_to_dict(
     engine: AuricEngine,
     fingerprint: Optional[str] = None,
@@ -154,11 +236,15 @@ def engine_to_dict(
     ``columnar_ref`` replaces the inline ``columnar`` section with a
     reference to an external :class:`repro.store.SnapshotStore` the
     caller has already persisted the snapshot to (:func:`save_engine`
-    does this for ``config.store != "memory"``).
+    does this for ``config.store != "memory"``).  Its ``fingerprint``
+    is filled in here, and every model that the referenced snapshot
+    reproduces is written derived (without samples).
     """
     if fingerprint is None:
         fingerprint = snapshot_fingerprint(engine.network, engine.store)
     config = engine.config
+    snapshot = engine.columnar_snapshot()
+    source = snapshot if columnar_ref is not None else None
     payload = {
         "schema_version": ARTIFACT_SCHEMA_VERSION,
         "kind": _ARTIFACT_KIND,
@@ -176,19 +262,21 @@ def engine_to_dict(
             "store": config.store,
         },
         "models": [
-            _model_to_dict(model)
+            _model_to_dict(model, derived=_derives_from(model, source))
             for _, model in sorted(engine.fitted_models().items())
         ],
     }
     # Persist the encoded snapshot when the engine holds one, so a
     # loaded serving engine skips the one-time encoding pass.  Purely
     # additive: loaders without the key re-encode on first use.  With an
-    # external store, only the (kind, path) reference is embedded — the
-    # bulk arrays live in the store file, opened zero-copy on load.
-    snapshot = engine.columnar_snapshot()
+    # external store, only the (kind, path, fingerprint) reference is
+    # embedded — the bulk arrays live in the store file, opened
+    # zero-copy on load.
     if snapshot is not None:
         if columnar_ref is not None:
-            payload["columnar_store"] = dict(columnar_ref)
+            payload["columnar_store"] = dict(
+                columnar_ref, fingerprint=snapshot.fingerprint()
+            )
         else:
             payload["columnar"] = snapshot.to_dict()
     # Fit-time distribution baseline for drift detection (v3, additive):
@@ -261,6 +349,15 @@ def engine_from_dict(
                 "the artifact references an external columnar store that "
                 f"is missing: {payload['columnar_store']}"
             )
+        expected = payload["columnar_store"].get("fingerprint")
+        actual = snapshot.fingerprint() if expected is not None else None
+        if actual != expected:
+            raise ArtifactError(
+                "columnar fingerprint mismatch: the store at "
+                f"{payload['columnar_store'].get('path')} holds snapshot "
+                f"{actual}, the artifact was saved with {expected} (the "
+                "store was overwritten or invalidated after the save)"
+            )
         engine.attach_columnar(snapshot)
     elif "columnar" in payload:
         engine.attach_columnar(ColumnarSnapshot.from_dict(payload["columnar"]))
@@ -269,8 +366,11 @@ def engine_from_dict(
             payload["drift_baseline"]
         )
     for model_payload in payload["models"]:
-        model = _model_from_dict(model_payload, engine)
+        model = _model_from_dict(model_payload, engine, version)
         engine.install_model(model.spec.name, model)
+    # Rebuilding derived models timed their vote phase; a loaded engine
+    # did not fit, so nothing is reported.
+    engine._take_fit_phases()
     return engine
 
 
@@ -338,7 +438,8 @@ def save_engine(
     try:
         with open(tmp, "w") as handle:
             json.dump(payload, handle)
-        os.replace(tmp, path)
+            sync_file(handle)
+        replace_durably(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -396,10 +497,13 @@ def load_engine(
 def artifact_summary(payload: Dict) -> str:
     """One line describing an artifact (CLI output)."""
     models: List[Dict] = payload.get("models", [])
+    derived = sum(1 for m in models if "samples_from" in m)
     samples = sum(len(m.get("samples", [])) for m in models)
     line = (
         f"engine artifact v{payload.get('schema_version')}: "
-        f"{len(models)} parameter models, {samples} samples, "
+        f"{len(models)} parameter models "
+        f"({derived} derived from the columnar store, "
+        f"{len(models) - derived} inline), {samples} inline samples, "
         f"snapshot {str(payload.get('snapshot_fingerprint'))[:12]}…"
     )
     ref = payload.get("columnar_store")

@@ -115,6 +115,36 @@ def record_invalidate(kind: str) -> None:
     ).inc(1.0)
 
 
+# -- durable replace -------------------------------------------------------
+#
+# Every persisted file (artifact JSON, store files) is written to a temp
+# sibling and renamed over the target.  The rename alone makes the
+# replace atomic; it is only *durable* once the temp file's bytes reach
+# the disk before the rename, and the directory entry after it.
+
+
+def sync_file(handle) -> None:
+    """Flush ``handle`` and fsync its bytes to disk."""
+    handle.flush()
+    os.fsync(handle.fileno())
+
+
+def replace_durably(tmp: str, path: str) -> None:
+    """Rename a synced ``tmp`` over ``path`` and fsync the directory so
+    the rename itself survives a crash."""
+    os.replace(tmp, path)
+    try:
+        fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    except OSError:  # pragma: no cover - platforms without directory fds
+        return
+    try:
+        os.fsync(fd)
+    except OSError:  # pragma: no cover - filesystems refusing directory fsync
+        pass
+    finally:
+        os.close(fd)
+
+
 # -- stale-parameter sidecar (file-backed stores) --------------------------
 #
 # Invalidating one parameter must not rewrite a multi-megabyte store

@@ -24,6 +24,8 @@ from repro.store.base import (
     record_open,
     record_persist,
     remove_file,
+    replace_durably,
+    sync_file,
 )
 
 
@@ -39,7 +41,8 @@ class FileSnapshotStore(SnapshotStore):
         tmp = f"{self.path}.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(data)
-        os.replace(tmp, self.path)
+            sync_file(fh)
+        replace_durably(tmp, self.path)
         clear_stale(self.path)
         nbytes = len(data.encode("utf-8"))
         record_persist(self.kind, time.perf_counter() - started, nbytes)

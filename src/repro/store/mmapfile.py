@@ -51,6 +51,8 @@ from repro.store.base import (
     record_open,
     record_persist,
     remove_file,
+    replace_durably,
+    sync_file,
 )
 
 MAGIC = b"AURSTOR1"
@@ -125,7 +127,8 @@ class MmapSnapshotStore(SnapshotStore):
                 target = data_start + layout[4]
                 fh.write(b"\x00" * (target - fh.tell()))
                 fh.write(np.ascontiguousarray(array).tobytes())
-        os.replace(tmp, self.path)
+            sync_file(fh)
+        replace_durably(tmp, self.path)
         clear_stale(self.path)
         nbytes = os.path.getsize(self.path)
         record_persist(self.kind, time.perf_counter() - started, nbytes)

@@ -339,3 +339,118 @@ class TestColumnarSnapshot:
             assert np.array_equal(
                 rebuilt.parameters[name].label_codes, columns.label_codes
             )
+
+
+class TestEncodedVotesDescribes:
+    """``EncodedVotes.describes`` decides whether an artifact may store a
+    model as derived (rebuilt from the snapshot on load), so it must
+    reject every snapshot the model's electorate did not come from."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self, small_dataset):
+        from repro.core import AuricEngine
+
+        engine = AuricEngine(small_dataset.network, small_dataset.store)
+        engine.fit(["pMax", "hysA3Offset"])
+        return engine
+
+    @staticmethod
+    def _with_columns(snapshot, name, codes=None, **changes):
+        from repro.core.columnar import ParameterColumns
+
+        parameters = dict(snapshot.parameters)
+        columns = parameters[name]
+        fields = {
+            "sources": columns.sources,
+            "neighbors": columns.neighbors,
+            "label_codes": columns.label_codes,
+        }
+        fields.update(changes)
+        parameters[name] = ParameterColumns(
+            parameter=name,
+            pairwise=columns.pairwise,
+            label_vocab=list(columns.label_vocab),
+            **fields,
+        )
+        return ColumnarSnapshot(
+            carrier_ids=list(snapshot.carrier_ids),
+            codes=snapshot.codes if codes is None else codes,
+            vocabs=snapshot.vocabs,
+            parameters=parameters,
+        )
+
+    def _describes(self, engine, name, snapshot):
+        model = engine.fitted_models()[name]
+        return model._encoded.describes(
+            snapshot, name, model.dependent_columns
+        )
+
+    @pytest.mark.parametrize("name", ["pMax", "hysA3Offset"])
+    def test_accepts_its_own_snapshot_and_equal_copies(self, fitted, name):
+        snapshot = fitted.columnar_snapshot()
+        assert self._describes(fitted, name, snapshot)
+        copy = ColumnarSnapshot.from_dict(snapshot.to_dict())
+        assert self._describes(fitted, name, copy)
+
+    def test_rejects_a_missing_parameter(self, fitted):
+        snapshot = fitted.columnar_snapshot()
+        parameters = {
+            k: v for k, v in snapshot.parameters.items() if k != "pMax"
+        }
+        without = ColumnarSnapshot(
+            snapshot.carrier_ids, snapshot.codes, snapshot.vocabs, parameters
+        )
+        assert not self._describes(fitted, "pMax", without)
+
+    def test_rejects_changed_labels(self, fitted):
+        snapshot = fitted.columnar_snapshot()
+        labels = snapshot.parameters["pMax"].label_codes.copy()
+        labels[0] = (labels[0] + 1) % len(snapshot.parameters["pMax"].label_vocab)
+        changed = self._with_columns(snapshot, "pMax", label_codes=labels)
+        assert not self._describes(fitted, "pMax", changed)
+
+    def test_rejects_changed_pair_topology(self, fitted):
+        snapshot = fitted.columnar_snapshot()
+        columns = snapshot.parameters["hysA3Offset"]
+        model = fitted.fitted_models()["hysA3Offset"]
+        # Swap two targets' neighbors that agree on every dependent
+        # attribute: the packed cells stay equal, only the keys move.
+        width = snapshot.n_attributes()
+        own = [c for c in model.dependent_columns if c < width]
+        neighbor_cols = [c - width for c in model.dependent_columns if c >= width]
+        neighbors = columns.neighbors.copy()
+        signature = [
+            tuple(snapshot.codes[n, neighbor_cols])
+            for n in neighbors.tolist()
+        ]
+        swap = next(
+            (i, j)
+            for i in range(len(neighbors))
+            for j in range(i + 1, len(neighbors))
+            if neighbors[i] != neighbors[j]
+            and signature[i] == signature[j]
+            and columns.label_codes[i] == columns.label_codes[j]
+            and all(
+                snapshot.codes[columns.sources[i], c]
+                == snapshot.codes[columns.sources[j], c]
+                for c in own
+            )
+        )
+        neighbors[list(swap)] = neighbors[list(swap[::-1])]
+        changed = self._with_columns(
+            snapshot, "hysA3Offset", neighbors=neighbors
+        )
+        assert not self._describes(fitted, "hysA3Offset", changed)
+
+    def test_rejects_changed_attribute_codes(self, fitted):
+        snapshot = fitted.columnar_snapshot()
+        model = fitted.fitted_models()["pMax"]
+        assert model.dependent_columns
+        column = model.dependent_columns[0]
+        codes = snapshot.codes.copy()
+        row = snapshot.parameters["pMax"].sources[0]
+        codes[row, column] = (codes[row, column] + 1) % len(
+            snapshot.vocabs[column]
+        )
+        changed = self._with_columns(snapshot, "pMax", codes=codes)
+        assert not self._describes(fitted, "pMax", changed)

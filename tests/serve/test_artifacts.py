@@ -1,11 +1,14 @@
 """Artifact round-trips: fit once → save → load → identical answers."""
 
 import json
+import os
+import stat
 
 import pytest
 
 from repro.core import AuricEngine
 from repro.core.auric import AuricConfig
+from repro.datagen import tiny_workload
 from repro.serve import (
     ARTIFACT_SCHEMA_VERSION,
     ArtifactError,
@@ -15,7 +18,10 @@ from repro.serve import (
     load_engine,
     save_engine,
 )
+from repro.serve.artifacts import _model_to_dict
+from repro.store import MmapSnapshotStore
 
+from ..fitted_models import assert_same_models, model_fields
 from .conftest import SERVE_PARAMETERS
 
 
@@ -115,6 +121,23 @@ class TestArtifactValidation:
     def test_summary_renders(self, fitted_engine):
         text = artifact_summary(engine_to_dict(fitted_engine))
         assert "3 parameter models" in text
+        assert "(0 derived from the columnar store, 3 inline)" in text
+        samples = sum(
+            len(m.samples) for m in fitted_engine.fitted_models().values()
+        )
+        assert f"{samples} inline samples" in text
+
+    def test_summary_counts_derived_models(self, dataset, tmp_path):
+        engine = AuricEngine(
+            dataset.network, dataset.store, AuricConfig(store="mmap")
+        ).fit(list(SERVE_PARAMETERS))
+        payload = save_engine(engine, str(tmp_path / "engine.json"))
+        text = artifact_summary(payload)
+        assert text.startswith(f"engine artifact v{ARTIFACT_SCHEMA_VERSION}:")
+        assert "3 parameter models" in text
+        assert "(3 derived from the columnar store, 0 inline)" in text
+        assert "0 inline samples" in text
+        assert "columnar in mmap store engine.json.columnar" in text
 
 
 class TestColumnarPersistence:
@@ -319,3 +342,248 @@ class TestAtomicSave:
         assert [p.name for p in tmp_path.iterdir()] == ["engine.json"]
         engine = load_engine(str(path), dataset.network, dataset.store)
         assert engine.fitted_parameters() == fitted_engine.fitted_parameters()
+
+
+def _fit_mmap(dataset, **kwargs):
+    return AuricEngine(
+        dataset.network, dataset.store, AuricConfig(store="mmap")
+    ).fit(list(SERVE_PARAMETERS), **kwargs)
+
+
+def _save_and_load(engine, dataset, path):
+    payload = save_engine(engine, str(path))
+    loaded = load_engine(str(path), engine.network, engine.store)
+    return payload, loaded
+
+
+def _layout(payload):
+    """``{parameter: "derived" | "inline"}`` for an artifact payload."""
+    return {
+        m["parameter"]: "derived" if "samples_from" in m else "inline"
+        for m in payload["models"]
+    }
+
+
+class TestDerivedModels:
+    """Schema v5: models the external columnar store reproduces carry
+    only their selection and rebuild on load."""
+
+    def test_store_backed_models_are_derived(self, dataset, tmp_path):
+        engine = _fit_mmap(dataset)
+        payload, loaded = _save_and_load(engine, dataset, tmp_path / "e.json")
+        assert payload["schema_version"] == 5
+        assert set(_layout(payload).values()) == {"derived"}
+        for model in payload["models"]:
+            assert model["samples_from"] == "columnar"
+            assert "samples" not in model
+        ref = payload["columnar_store"]
+        assert ref["fingerprint"] == engine.columnar_snapshot().fingerprint()
+        assert_same_models(engine, loaded)
+
+    def test_weighted_models_stay_inline(self, dataset, tmp_path):
+        carrier = sorted(dataset.store.singular_values("pMax"))[0]
+        engine = _fit_mmap(dataset, vote_weights={carrier: 2.5})
+        payload, loaded = _save_and_load(engine, dataset, tmp_path / "e.json")
+        weighted = {
+            name
+            for name, model in engine.fitted_models().items()
+            if model.weights
+        }
+        assert "pMax" in weighted and "hysA3Offset" not in weighted
+        assert _layout(payload) == {
+            name: "inline" if name in weighted else "derived"
+            for name in SERVE_PARAMETERS
+        }
+        assert loaded.fitted_models()["pMax"].weights == {carrier: 2.5}
+        assert_same_models(engine, loaded)
+
+    def test_refreshed_model_stays_inline(self, dataset, tmp_path):
+        engine = _fit_mmap(dataset)
+        model = engine.fitted_models()["pMax"]
+        carrier = sorted(model.samples)[0]
+        _, label = model.samples[carrier]
+        # Re-adding moves the sample to the end of the electorate.
+        model.add_sample(carrier, engine.carrier_row(carrier), label)
+        path = tmp_path / "e.json"
+        payload, loaded = _save_and_load(engine, dataset, path)
+        assert _layout(payload) == {
+            "hysA3Offset": "derived",
+            "inactivityTimer": "derived",
+            "pMax": "inline",
+        }
+        rebuilt = loaded.fitted_models()["pMax"]
+        assert list(rebuilt.samples.items()) == list(model.samples.items())
+        assert list(rebuilt.by_carrier.items()) == list(
+            model.by_carrier.items()
+        )
+        assert list(rebuilt.global_counts.items()) == list(
+            model.global_counts.items()
+        )
+        # Inline samples replay in electorate order, so the cell index
+        # holds the same votes; its key order is the replay's.
+        assert rebuilt.cell_index == model.cell_index
+        for key in sorted(model.samples)[:40]:
+            assert loaded.recommend_for_carrier(
+                "pMax", key, local=False, leave_one_out=True
+            ) == engine.recommend_for_carrier(
+                "pMax", key, local=False, leave_one_out=True
+            )
+        for name in ("hysA3Offset", "inactivityTimer"):
+            assert model_fields(loaded.fitted_models()[name]) == (
+                model_fields(engine.fitted_models()[name])
+            )
+        # The replayed model serializes back to the same document.
+        resaved = save_engine(loaded, str(tmp_path / "again.json"))
+        assert resaved["models"] == payload["models"]
+
+    def test_invalidated_parameter_stays_inline(self, dataset, tmp_path):
+        engine = _fit_mmap(dataset)
+        engine.invalidate_columnar("inactivityTimer")
+        payload, loaded = _save_and_load(engine, dataset, tmp_path / "e.json")
+        assert _layout(payload) == {
+            "hysA3Offset": "derived",
+            "inactivityTimer": "inline",
+            "pMax": "derived",
+        }
+        assert not loaded.columnar_snapshot().has_parameter("inactivityTimer")
+        for name, model in engine.fitted_models().items():
+            rebuilt = loaded.fitted_models()[name]
+            if name == "inactivityTimer":
+                # Inline loads replay the samples without an encoded stash.
+                assert rebuilt._encoded is None
+                assert model_fields(rebuilt)[:-1] == model_fields(model)[:-1]
+            else:
+                assert model_fields(rebuilt) == model_fields(model)
+
+    def test_memory_store_models_stay_inline(self, fitted_engine, reloaded):
+        payload = engine_to_dict(fitted_engine)
+        assert set(_layout(payload).values()) == {"inline"}
+        for name, model in fitted_engine.fitted_models().items():
+            assert model_fields(reloaded.fitted_models()[name])[:-1] == (
+                model_fields(model)[:-1]
+            )
+
+    def test_genuine_v4_document_loads_identically(self, dataset, tmp_path):
+        """A v4 document — inline samples from the per-sample serializer
+        and a store reference without a fingerprint — loads as before."""
+        engine = _fit_mmap(dataset)
+        path = tmp_path / "engine.json"
+        save_engine(engine, str(path))
+        payload = json.loads(path.read_text())
+        payload["schema_version"] = 4
+        payload["models"] = [
+            _model_to_dict(model)
+            for _, model in sorted(engine.fitted_models().items())
+        ]
+        del payload["columnar_store"]["fingerprint"]
+        path.write_text(json.dumps(payload))
+        loaded = load_engine(str(path), dataset.network, dataset.store)
+        assert loaded.columnar_snapshot() is not None
+        for name, model in engine.fitted_models().items():
+            rebuilt = loaded.fitted_models()[name]
+            # Inline loads replay the samples; they carry no encoded stash.
+            assert rebuilt._encoded is None
+            assert model_fields(rebuilt)[:-1] == model_fields(model)[:-1]
+
+    def test_samples_from_needs_schema_v5(self, dataset, tmp_path):
+        payload = save_engine(_fit_mmap(dataset), str(tmp_path / "e.json"))
+        payload = json.loads(json.dumps(payload))
+        payload["schema_version"] = 4
+        with pytest.raises(ArtifactError, match="schema v5"):
+            engine_from_dict(
+                payload, dataset.network, dataset.store, base_dir=str(tmp_path)
+            )
+
+    def test_samples_from_needs_a_snapshot(self, dataset, tmp_path):
+        payload = save_engine(_fit_mmap(dataset), str(tmp_path / "e.json"))
+        payload = json.loads(json.dumps(payload))
+        del payload["columnar_store"]
+        with pytest.raises(ArtifactError, match="no snapshot"):
+            engine_from_dict(payload, dataset.network, dataset.store)
+
+    def test_unknown_samples_from_rejected(self, dataset, tmp_path):
+        payload = save_engine(_fit_mmap(dataset), str(tmp_path / "e.json"))
+        payload = json.loads(json.dumps(payload))
+        payload["models"][0]["samples_from"] = "elsewhere"
+        with pytest.raises(ArtifactError, match="samples_from"):
+            engine_from_dict(
+                payload, dataset.network, dataset.store, base_dir=str(tmp_path)
+            )
+
+
+class TestAllRangeParameters:
+    """Every range parameter of a whole snapshot round-trips derived."""
+
+    @pytest.fixture(scope="class")
+    def tiny(self):
+        return tiny_workload()
+
+    @pytest.fixture(scope="class")
+    def engine(self, tiny):
+        return AuricEngine(
+            tiny.network, tiny.store, AuricConfig(store="mmap")
+        ).fit()
+
+    def test_round_trip_reproduces_every_model(self, tiny, engine, tmp_path):
+        path = tmp_path / "engine.json"
+        payload, loaded = _save_and_load(engine, tiny, path)
+        assert len(payload["models"]) == len(
+            tiny.store.catalog.range_parameters()
+        )
+        assert set(_layout(payload).values()) == {"derived"}
+        assert_same_models(engine, loaded)
+        # Selections, provenance and the drift baseline only.
+        assert os.path.getsize(path) < 100_000
+
+
+class TestDurablePersistence:
+    def test_artifact_and_store_are_fsynced_before_and_after_rename(
+        self, dataset, tmp_path, monkeypatch
+    ):
+        engine = _fit_mmap(dataset)
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            events.append(("fsync", kind))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.path.basename(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        save_engine(engine, str(tmp_path / "engine.json"))
+        assert events == [
+            ("fsync", "file"),
+            ("replace", "engine.json.columnar"),
+            ("fsync", "dir"),
+            ("fsync", "file"),
+            ("replace", "engine.json"),
+            ("fsync", "dir"),
+        ]
+
+    def test_overwritten_store_fails_the_fingerprint_check(
+        self, dataset, tmp_path
+    ):
+        """Artifact B persisting its snapshot over artifact A's store file
+        must make A unloadable, not silently rebuild wrong models."""
+        shared = MmapSnapshotStore(str(tmp_path / "shared.columnar"))
+        config = AuricConfig(store="mmap")
+        engine_a = AuricEngine(dataset.network, dataset.store, config).fit(
+            ["pMax", "inactivityTimer"]
+        )
+        engine_b = AuricEngine(dataset.network, dataset.store, config).fit(
+            ["hysA3Offset"]
+        )
+        save_engine(engine_a, str(tmp_path / "a.json"), snapshot_store=shared)
+        load_engine(str(tmp_path / "a.json"), dataset.network, dataset.store)
+        save_engine(engine_b, str(tmp_path / "b.json"), snapshot_store=shared)
+        with pytest.raises(ArtifactError, match="columnar fingerprint mismatch"):
+            load_engine(str(tmp_path / "a.json"), dataset.network, dataset.store)
+        loaded_b = load_engine(
+            str(tmp_path / "b.json"), dataset.network, dataset.store
+        )
+        assert_same_models(engine_b, loaded_b)

@@ -213,6 +213,29 @@ class TestServiceIntegration:
             live.parameters["pMax"].label_codes,
         )
 
+    def test_refit_then_save_load_is_identical(self, dataset, tmp_path):
+        """An incrementally refitted engine persists as derived models
+        over its re-encoded snapshot and loads back field for field."""
+        from repro.serve.artifacts import load_engine, save_engine
+
+        from ..fitted_models import assert_same_models
+
+        store, engine, service, refresher = build(
+            dataset, AuricConfig(store="mmap")
+        )
+        log = ChangeLog()
+        flip_values(store, "pMax", 3, log)
+        result = refresher.incremental_refit(log)
+        assert result.refitted == {"pMax": 3}
+        path = tmp_path / "engine.json"
+        payload = save_engine(engine, str(path))
+        assert all(m.get("samples_from") == "columnar" for m in payload["models"])
+        loaded = load_engine(str(path), dataset.network, store)
+        assert_same_models(engine, loaded)
+        assert_same_models(
+            full_refit_reference(dataset, store, AuricConfig()), loaded
+        )
+
     def test_unfitted_touched_parameter_is_ignored(self, dataset):
         config = AuricConfig()
         store, engine, service, refresher = build(dataset, config)

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.core import AuricEngine
+from repro.core.auric import AuricConfig
 from repro.core.recommendation import CarrierRecommendation, ParameterRecommendation
 from repro.obs import journal as obs_journal
 from repro.obs.journal import assemble_timeline, read_journal
@@ -188,7 +189,7 @@ class TestFrontAndOpsEvents:
 
 class TestArtifactReplay:
     """artifact-save / artifact-load appear for every schema vintage the
-    loader accepts (v1..v4), and replaying them never breaks the DAG."""
+    loader accepts (v1..v5), and replaying them never breaks the DAG."""
 
     def test_save_then_load_records_fingerprints(
         self, fitted_engine, dataset, tmp_path, journal
@@ -223,7 +224,14 @@ class TestArtifactReplay:
         v3 = json.loads(json.dumps(base))
         v3["schema_version"] = 3
 
-        for version, payload in ((1, v1), (2, v2), (3, v3), (4, base)):
+        # A memory-store engine has no derived models, so its document
+        # has the v4 layout exactly.
+        v4 = json.loads(json.dumps(base))
+        v4["schema_version"] = 4
+
+        for version, payload in (
+            (1, v1), (2, v2), (3, v3), (4, v4), (5, base)
+        ):
             path = tmp_path / f"engine-v{version}.json"
             path.write_text(json.dumps(payload))
             engine = load_engine(str(path), dataset.network, dataset.store)
@@ -231,9 +239,36 @@ class TestArtifactReplay:
                 fitted_engine.fitted_parameters()
             )
         loads = [e for e in journal.tail() if e["event"] == "artifact-load"]
-        assert [e["attrs"]["schema_version"] for e in loads] == [1, 2, 3, 4]
+        assert [e["attrs"]["schema_version"] for e in loads] == [
+            1, 2, 3, 4, 5
+        ]
         timeline = assemble_timeline(journal.tail())
         assert timeline.complete
+
+    def test_derived_v5_artifact_replays(self, dataset, tmp_path, journal):
+        """A store-backed v5 artifact (derived models) records the same
+        save/load pair as an inline one."""
+        engine = AuricEngine(
+            dataset.network, dataset.store, AuricConfig(store="mmap")
+        ).fit(list(SERVE_PARAMETERS))
+        path = tmp_path / "engine.json"
+        payload = save_engine(engine, str(path))
+        assert all("samples_from" in m for m in payload["models"])
+        load_engine(str(path), dataset.network, dataset.store)
+        events = [
+            e for e in journal.tail()
+            if e["event"] in ("artifact-save", "artifact-load")
+        ]
+        assert [e["event"] for e in events] == [
+            "artifact-save", "artifact-load"
+        ]
+        assert {e["attrs"]["schema_version"] for e in events} == {5}
+        assert {e["attrs"]["models"] for e in events} == {3}
+        assert (
+            events[0]["fingerprints"]["artifact"]
+            == events[1]["fingerprints"]["artifact"]
+        )
+        assert assemble_timeline(journal.tail()).complete
 
 
 class TestEndToEndTimeline:

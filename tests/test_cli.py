@@ -265,6 +265,42 @@ class TestObservabilityCommands:
             )
 
 
+    def test_pooled_trace_keeps_per_parameter_fit_spans(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``-j 2``: each worker's selection runs under an
+        ``engine.fit_parameter`` span inside its ``pool.task:_fit_task``,
+        and the master's rebuild of each model under an
+        ``engine.build_parameter`` span inside ``engine.fit``."""
+        from repro.parallel.pool import ADAPTIVE_ENV
+
+        monkeypatch.setenv(ADAPTIVE_ENV, "0")
+        trace = tmp_path / "trace.jsonl"
+        assert main(["explain", "-j", "2", "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        spans = [json.loads(line)
+                 for line in trace.read_text().splitlines()]
+        by_id = {span["span_id"]: span for span in spans}
+
+        def parents(name):
+            return {
+                span["attributes"]["parameter"]:
+                    by_id[span["parent_id"]]["name"]
+                for span in spans if span["name"] == name
+            }
+
+        expected = {"pMax", "inactivityTimer"}
+        assert parents("engine.fit_parameter") == dict.fromkeys(
+            expected, "pool.task:_fit_task"
+        )
+        assert parents("engine.build_parameter") == dict.fromkeys(
+            expected, "engine.fit"
+        )
+        for span in spans:
+            if span["name"] == "engine.build_parameter":
+                assert span["attributes"]["samples"] > 0
+                assert "dependent" in span["attributes"]
+
 class TestServeShutdown:
     def test_sigint_runs_cleanup_and_flushes_trace(self, tmp_path):
         """Ctrl-C on a long-running ``repro serve --trace`` unwinds

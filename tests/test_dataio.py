@@ -1,12 +1,14 @@
 """Tests for dataset serialization (export/load round-trips)."""
 
 import csv
+import hashlib
 import json
 
 import pytest
 
 from repro.config.store import PairKey
 from repro.core import AuricEngine
+from repro.datagen import tiny_workload
 from repro.dataio import (
     dataset_to_dict,
     export_attributes_csv,
@@ -15,6 +17,7 @@ from repro.dataio import (
     load_dataset_json,
     snapshot_from_dict,
 )
+from repro.dataio.export import snapshot_fingerprint
 from repro.dataio.keys import (
     carrier_key_from_str,
     carrier_key_to_str,
@@ -120,3 +123,44 @@ class TestCsvExports:
         with open(path) as handle:
             header = next(csv.reader(handle))
             assert header == ["carrier_id", "neighbor_id", "hysA3Offset"]
+
+
+class TestSnapshotFingerprint:
+    """The fingerprint and the export are pinned to digests of a fixed
+    seeded snapshot, so faster implementations cannot drift from them:
+    a changed fingerprint would orphan every saved engine artifact."""
+
+    #: ``snapshot_fingerprint`` of a fresh ``tiny_workload()``.
+    FINGERPRINT = (
+        "5b1a5c2886e4c93f315aba63476e65a22e99c41ad14754c7e78b674e4443d702"
+    )
+    #: sha256 of ``export_dataset_json`` of the same snapshot.
+    EXPORT_SHA256 = (
+        "bd4fde79917db127299b5b7caf68a94f66e8cfe61c342ae8ed2652c9abb460f1"
+    )
+
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        return tiny_workload()
+
+    def test_fingerprint_digest_is_pinned(self, fresh):
+        assert snapshot_fingerprint(fresh.network, fresh.store) == (
+            self.FINGERPRINT
+        )
+
+    def test_export_bytes_are_pinned(self, fresh, tmp_path):
+        path = tmp_path / "snapshot.json"
+        export_dataset_json(fresh, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            self.EXPORT_SHA256
+        )
+
+    def test_fingerprint_hashes_the_export_document(self, fresh):
+        canonical = json.dumps(
+            dataset_to_dict(fresh.network, fresh.store),
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        assert snapshot_fingerprint(fresh.network, fresh.store) == (
+            hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        )
