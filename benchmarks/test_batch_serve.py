@@ -82,7 +82,7 @@ def _time_batch(engine, rulebook, batch, planner, repeats=REPEATS):
     return best
 
 
-def test_batch_planner_gates(fitted, results_dir):
+def test_planner_gates(fitted, results_dir):
     engine, rulebook, carriers = fitted
     record = {"scale": SCALE, "repeats": REPEATS, "parameters": PARAMETERS}
 

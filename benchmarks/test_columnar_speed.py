@@ -1,13 +1,14 @@
-"""Benchmark: legacy tuple/Counter engine vs the columnar fast paths.
+"""Benchmark: the section 3.2 reference oracle vs the columnar engine.
 
-Times the same work twice — ``AuricConfig(columnar=False)`` pins the
-engine (fitting *and* every voting fast path) to the historical
-implementation, ``columnar=True`` (the default) runs the one-time
-integer encoding plus the vectorized voting kernels — asserts the
-results are **byte-identical**, and records the wall-clock numbers in
+Times the same work twice — the test-suite reference oracle
+(``tests/reference_auric.py``: raw attribute tuples, per-sample
+``Counter`` votes) and the engine (one-time integer encoding plus the
+vectorized voting kernels) — asserts the results are
+**byte-identical**, and records the wall-clock numbers in
 ``benchmarks/results/BENCH_columnar.json``.
 
-Three workloads are measured, serial and with a process pool:
+Three workloads are measured, the engine serial and with a process
+pool (the oracle is serial only):
 
 * full-snapshot fit (all measured parameters),
 * the LOO evaluation sweep, and
@@ -35,10 +36,11 @@ import time
 
 import pytest
 
-from repro.core import AuricConfig, AuricEngine
+from repro.core import AuricEngine
 from repro.datagen import four_markets_workload
 from repro.eval.runner import EvaluationRunner
 from repro.experiments.parameter_selection import evaluation_parameters
+from tests.reference_auric import ReferenceAuric
 
 SCALE = float(os.environ.get("REPRO_COLUMNAR_SCALE", "0.05"))
 PARAMS = os.environ.get("REPRO_COLUMNAR_PARAMS", "12")
@@ -59,6 +61,7 @@ def columnar_parameters(columnar_dataset):
 
 
 def _assert_models_identical(a, b) -> None:
+    """``a``: the oracle's models, ``b``: an engine's fitted models."""
     assert set(a) == set(b)
     for name in a:
         ma, mb = a[name], b[name]
@@ -89,12 +92,12 @@ def _timed(fn):
     return result, time.perf_counter() - started
 
 
-def _serve_targets(engine, parameters, count):
+def _serve_targets(reference, parameters, count):
     """(parameter, key) leave-one-out serve targets, round-robin."""
     targets = []
     per_parameter = max(count // max(len(parameters), 1), 1)
     for name in parameters:
-        keys = list(engine.fitted_models()[name].samples)[:per_parameter]
+        keys = list(reference.models[name].samples)[:per_parameter]
         targets.extend((name, key) for key in keys)
     return targets
 
@@ -121,48 +124,33 @@ def test_columnar_speedup_with_identical_results(
     parameters = columnar_parameters
     network, store = dataset.network, dataset.store
 
-    legacy_config = AuricConfig(columnar=False)
-    columnar_config = AuricConfig(columnar=True)
-
-    # -- full-snapshot fit, serial and pooled -----------------------------
-    legacy_engine, fit_legacy_s = _timed(
-        lambda: AuricEngine(network, store, legacy_config).fit(parameters)
+    # -- full-snapshot fit: oracle serial, engine serial and pooled -------
+    reference, fit_reference_s = _timed(
+        lambda: ReferenceAuric(network, store).fit(parameters)
     )
     columnar_engine, fit_columnar_s = _timed(
-        lambda: AuricEngine(network, store, columnar_config).fit(parameters)
-    )
-    legacy_jobs_engine, fit_legacy_jobs_s = _timed(
-        lambda: AuricEngine(network, store, legacy_config).fit(
-            parameters, jobs=JOBS
-        )
+        lambda: AuricEngine(network, store).fit(parameters)
     )
     columnar_jobs_engine, fit_columnar_jobs_s = _timed(
-        lambda: AuricEngine(network, store, columnar_config).fit(
-            parameters, jobs=JOBS
-        )
+        lambda: AuricEngine(network, store).fit(parameters, jobs=JOBS)
     )
+    _assert_models_identical(reference.models, columnar_engine.fitted_models())
     _assert_models_identical(
-        legacy_engine.fitted_models(), columnar_engine.fitted_models()
-    )
-    _assert_models_identical(
-        legacy_engine.fitted_models(), legacy_jobs_engine.fitted_models()
-    )
-    _assert_models_identical(
-        legacy_engine.fitted_models(), columnar_jobs_engine.fitted_models()
+        reference.models, columnar_jobs_engine.fitted_models()
     )
 
     # -- LOO sweep, serial and pooled -------------------------------------
     # The runners' sample plans are engine-independent dataset views;
     # build them outside the timed region so the timings compare the
     # voting sweeps, not identical plan construction on both sides.
-    legacy_runner = EvaluationRunner(dataset)
+    reference_runner = EvaluationRunner(dataset)
     columnar_runner = EvaluationRunner(dataset)
     columnar_jobs_runner = EvaluationRunner(dataset)
-    for runner in (legacy_runner, columnar_runner, columnar_jobs_runner):
+    for runner in (reference_runner, columnar_runner, columnar_jobs_runner):
         runner.loo_plan(parameters, max_targets_per_parameter=MAX_TARGETS)
-    legacy_loo, loo_legacy_s = _timed(
-        lambda: legacy_runner.loo_accuracy(
-            legacy_engine, parameters, max_targets_per_parameter=MAX_TARGETS
+    reference_loo, loo_reference_s = _timed(
+        lambda: reference_runner.loo_accuracy(
+            reference, parameters, max_targets_per_parameter=MAX_TARGETS
         )
     )
     columnar_loo, loo_columnar_s = _timed(
@@ -176,47 +164,46 @@ def test_columnar_speedup_with_identical_results(
             max_targets_per_parameter=MAX_TARGETS, jobs=JOBS,
         )
     )
-    _assert_loo_identical(legacy_loo, columnar_loo)
-    _assert_loo_identical(legacy_loo, columnar_loo_jobs)
+    _assert_loo_identical(reference_loo, columnar_loo)
+    _assert_loo_identical(reference_loo, columnar_loo_jobs)
 
     # -- serve-style batch -------------------------------------------------
-    targets = _serve_targets(legacy_engine, parameters, SERVE_BATCH)
-    legacy_served, serve_legacy_s = _timed(
-        lambda: _serve_batch(legacy_engine, targets)
+    targets = _serve_targets(reference, parameters, SERVE_BATCH)
+    reference_served, serve_reference_s = _timed(
+        lambda: _serve_batch(reference, targets)
     )
     columnar_served, serve_columnar_s = _timed(
         lambda: _serve_batch(columnar_engine, targets)
     )
-    assert legacy_served == columnar_served
+    assert reference_served == columnar_served
 
-    combined_legacy_s = fit_legacy_s + loo_legacy_s
+    combined_reference_s = fit_reference_s + loo_reference_s
     combined_columnar_s = fit_columnar_s + loo_columnar_s
-    speedup = combined_legacy_s / combined_columnar_s
+    speedup = combined_reference_s / combined_columnar_s
 
     document = {
         "cpu_count": multiprocessing.cpu_count(),
         "scale": SCALE,
         "jobs": JOBS,
         "parameters": len(parameters),
-        "loo_targets_evaluated": legacy_loo.evaluated,
+        "loo_targets_evaluated": reference_loo.evaluated,
         "serve_batch": len(targets),
         "fit": {
-            "legacy_serial_s": fit_legacy_s,
+            "reference_serial_s": fit_reference_s,
             "columnar_serial_s": fit_columnar_s,
-            "legacy_jobs_s": fit_legacy_jobs_s,
             "columnar_jobs_s": fit_columnar_jobs_s,
-            "speedup_serial": fit_legacy_s / fit_columnar_s,
+            "speedup_serial": fit_reference_s / fit_columnar_s,
         },
         "loo": {
-            "legacy_serial_s": loo_legacy_s,
+            "reference_serial_s": loo_reference_s,
             "columnar_serial_s": loo_columnar_s,
             "columnar_jobs_s": loo_columnar_jobs_s,
-            "speedup_serial": loo_legacy_s / loo_columnar_s,
+            "speedup_serial": loo_reference_s / loo_columnar_s,
         },
         "serve": {
-            "legacy_s": serve_legacy_s,
+            "reference_s": serve_reference_s,
             "columnar_s": serve_columnar_s,
-            "speedup": serve_legacy_s / serve_columnar_s,
+            "speedup": serve_reference_s / serve_columnar_s,
         },
         "combined_fit_loo_speedup": speedup,
         "min_speedup_required": MIN_SPEEDUP,
@@ -228,6 +215,7 @@ def test_columnar_speedup_with_identical_results(
 
     assert speedup >= MIN_SPEEDUP, (
         f"combined fit+LOO speedup {speedup:.2f}x is below the required "
-        f"{MIN_SPEEDUP:.1f}x (fit {fit_legacy_s:.2f}s -> {fit_columnar_s:.2f}s, "
-        f"LOO {loo_legacy_s:.2f}s -> {loo_columnar_s:.2f}s)"
+        f"{MIN_SPEEDUP:.1f}x (fit {fit_reference_s:.2f}s -> "
+        f"{fit_columnar_s:.2f}s, LOO {loo_reference_s:.2f}s -> "
+        f"{loo_columnar_s:.2f}s)"
     )

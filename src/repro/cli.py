@@ -91,12 +91,6 @@ def _common_options() -> argparse.ArgumentParser:
         help="random seed (default: the library seed)",
     )
     common.add_argument(
-        "--no-columnar", action="store_true",
-        help="pin the engine to the legacy tuple/Counter path instead "
-        "of the columnar fast paths (results are identical either way; "
-        "A/B escape hatch)",
-    )
-    common.add_argument(
         "--store", choices=("memory", "file", "mmap"), default=None,
         help="columnar snapshot store backend (default memory; file/"
         "mmap persist the encoded snapshot next to saved artifacts so "
@@ -200,11 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve an artifact even if it was fitted on another snapshot",
     )
     serve.add_argument("--cache-size", type=int, default=None)
-    serve.add_argument(
-        "--no-batch-planner", action="store_true",
-        help="pin the serial per-request loop instead of the "
-        "one-vote-per-distinct-cell batch planner (A/B escape hatch)",
-    )
 
     front = sub.add_parser(
         "serve",
@@ -249,11 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-shard batch queue bound (default 256)",
     )
     front.add_argument("--cache-size", type=int, default=None)
-    front.add_argument(
-        "--no-batch-planner", action="store_true",
-        help="pin shard workers to the serial per-request loop instead "
-        "of the one-vote-per-distinct-cell batch planner",
-    )
     front.add_argument(
         "--storm", type=int, default=None, metavar="N",
         help="self-test mode: fire N audited requests at the booted "
@@ -432,15 +416,13 @@ def _health_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _engine_config(args):
-    """An :class:`AuricConfig` reflecting --seed / --no-columnar /
-    --store, or ``None`` when every engine option is at its default."""
+    """An :class:`AuricConfig` reflecting --seed / --store, or ``None``
+    when every engine option is at its default."""
     from repro.core.auric import AuricConfig
 
     kwargs = {}
     if args.seed is not None:
         kwargs["seed"] = args.seed
-    if getattr(args, "no_columnar", False):
-        kwargs["columnar"] = False
     if getattr(args, "store", None) is not None:
         kwargs["store"] = args.store
     return AuricConfig(**kwargs) if kwargs else None
@@ -570,7 +552,6 @@ def _run_serve_batch(args) -> int:
         engine,
         rulebook=RuleBook(snapshot.store.catalog),
         cache_size=args.cache_size or DEFAULT_CACHE_SIZE,
-        batch_planner=not args.no_batch_planner,
     )
     with open(args.requests) as handle:
         requests = requests_from_json(json.load(handle))
@@ -672,7 +653,6 @@ def _run_serve(args) -> int:
         shards=args.shards,
         cache_size=args.cache_size or DEFAULT_CACHE_SIZE,
         max_queue=args.max_queue,
-        batch_planner=not args.no_batch_planner,
     )
     config = FrontConfig(
         host=args.host,

@@ -27,12 +27,12 @@ from repro.config.store import ConfigurationStore, PairKey
 from repro.core.columnar import (
     NO_EXCLUDE,
     CellVoteTable,
-    ColumnarCapacityError,
     ColumnarSnapshot,
     EncodedVotes,
     LocalVoteIndex,
+    decode_keys,
+    dependent_codes,
     grouped_votes,
-    pack_capacity,
     pack_columns,
     plurality,
 )
@@ -106,11 +106,6 @@ class AuricConfig:
     #: index always uses every sample).  None = no cap.
     max_fit_samples: Optional[int] = 30000
     seed: int = 7
-    #: Fit from the one-time integer-encoded snapshot
-    #: (:mod:`repro.core.columnar`) instead of re-materializing raw
-    #: attribute tuples per parameter.  Results are bit-identical either
-    #: way; the flag exists for A/B benchmarking and as an escape hatch.
-    columnar: bool = True
     #: Columnar snapshot persistence backend: "memory" (default, nothing
     #: leaves the process), "file" (JSON sidecar) or "mmap" (binary
     #: store opened zero-copy at cold start).  See :mod:`repro.store`;
@@ -387,10 +382,9 @@ class AuricEngine:
         with tracing.span(
             "engine.fit", parameters=len(specs), jobs=jobs
         ):
-            if self.config.columnar:
-                # One encoding pass shared by every parameter fit (and
-                # shipped to pool workers via shared memory).
-                self.ensure_columnar(specs)
+            # One encoding pass shared by every parameter fit (and
+            # shipped to pool workers via shared memory).
+            self.ensure_columnar(specs)
             if jobs != 1 and len(specs) > 1:
                 from repro.parallel.fit import fit_parameter_models
 
@@ -430,22 +424,13 @@ class AuricEngine:
             phase_totals[phase] = phase_totals.get(phase, 0.0) + seconds
         # The columnar content hash is cheap (raw buffer hashing); the
         # full dataset fingerprint would cost more than the fit itself.
-        # The legacy tuple path has no encoded buffers to hash — a
-        # structural digest (carrier + sample counts) stands in.
-        if self._columnar is not None:
-            snapshot = self._columnar.fingerprint()
-        else:
-            snapshot = (
-                f"legacy-{len(list(self.network.carriers()))}c-"
-                f"{sum(len(m.samples) for m in self._models.values())}s"
-            )
         obs_journal.record(
             "fit",
             scope="engine",
             stream=self.lineage,
             generation=0,
             duration_s=duration_s,
-            fingerprints={"snapshot": snapshot},
+            fingerprints={"snapshot": self._columnar.fingerprint()},
             parameters=parameters,
             jobs=jobs,
             phases={k: round(v, 6) for k, v in sorted(phase_totals.items())},
@@ -540,103 +525,26 @@ class AuricEngine:
             )
         self._models[name] = model
 
-    def _collect_samples(
-        self, spec: ParameterSpec
-    ) -> Tuple[List[Hashable], List[Row], List[ParameterValue]]:
-        if spec.is_pairwise:
-            values = self.store.pairwise_values(spec.name)
-            keys: List[Hashable] = sorted(values)
-            rows = [self.pair_row(k) for k in keys]
-        else:
-            values = self.store.singular_values(spec.name)
-            keys = sorted(values)
-            rows = [self.carrier_row(k) for k in keys]
-        labels = [values[k] for k in keys]
-        return keys, rows, labels
-
     def _fit_parameter(
         self,
         spec: ParameterSpec,
         vote_weights: Optional[Dict[Hashable, float]] = None,
     ) -> _ParameterModel:
+        """Fit one parameter from the encoded snapshot.
+
+        Split into :meth:`_select_columnar` (chi-square attribute
+        selection) and :meth:`_build_columnar_model` (vote structures)
+        so the incremental-refit path can reuse a previous selection
+        when the changelog provably cannot have altered it, and pool
+        workers ship only the selection back to the master.
+        """
         with tracing.span("engine.fit_parameter", parameter=spec.name) as sp:
-            if self.config.columnar:
-                model = self._fit_parameter_columnar(spec, vote_weights)
-            else:
-                model = self._fit_parameter_tuples(spec, vote_weights)
+            model = self._build_columnar_model(
+                spec, *self._select_columnar(spec), vote_weights
+            )
             sp.set("samples", len(model.samples))
             sp.set("dependent", list(model.dependent_names))
             return model
-
-    def _fit_parameter_tuples(
-        self,
-        spec: ParameterSpec,
-        vote_weights: Optional[Dict[Hashable, float]] = None,
-    ) -> _ParameterModel:
-        """Fit one parameter from raw attribute tuples (no columnar
-        snapshot, or a cell key space too large for int64 packing)."""
-        keys, rows, labels = self._collect_samples(spec)
-        if not keys:
-            raise RecommendationError(
-                f"no configured values for parameter {spec.name}; cannot fit"
-            )
-
-        fit_rows, fit_labels = rows, labels
-        picked = self._fit_sample_positions(spec.name, len(rows))
-        if picked is not None:
-            fit_rows = [rows[i] for i in picked]
-            fit_labels = [labels[i] for i in picked]
-
-        select_started = time.perf_counter()
-        recommender = CollaborativeFilteringRecommender(
-            support_threshold=self.config.support_threshold,
-            p_value=self.config.p_value,
-            min_effect_size=self.config.min_effect_size,
-            selection=self.config.selection,
-        ).fit(fit_rows, fit_labels)
-        self._phase("select", spec.name, time.perf_counter() - select_started)
-        dependent = recommender.dependent_attributes
-        names = self.attribute_names(spec)
-        dependent_stats = tuple(
-            _attribute_dependence(
-                names[col], col, recommender.test_result(col)
-            )
-            for col in dependent
-        )
-
-        vote_started = time.perf_counter()
-        cell_index: Dict[Tuple[AttributeValue, ...], Counter] = {}
-        global_counts: Counter = Counter()
-        samples: Dict[Hashable, Tuple[Tuple[AttributeValue, ...], ParameterValue]] = {}
-        by_carrier: Dict[CarrierId, List[Hashable]] = {}
-        weights: Dict[Hashable, float] = {}
-        for key, row, label in zip(keys, rows, labels):
-            weight = 1.0
-            if vote_weights is not None:
-                weight = float(vote_weights.get(key, 1.0))
-                if weight < 0.0:
-                    raise ValueError(f"vote weight for {key} must be >= 0")
-                if weight != 1.0:
-                    weights[key] = weight
-            cell = tuple(row[c] for c in dependent)
-            cell_index.setdefault(cell, Counter())[label] += weight
-            global_counts[label] += weight
-            samples[key] = (cell, label)
-            source = key.carrier if isinstance(key, PairKey) else key
-            by_carrier.setdefault(source, []).append(key)
-        self._phase("vote", spec.name, time.perf_counter() - vote_started)
-
-        return _ParameterModel(
-            spec=spec,
-            dependent_columns=dependent,
-            dependent_names=tuple(names[c] for c in dependent),
-            cell_index=cell_index,
-            global_counts=global_counts,
-            samples=samples,
-            by_carrier=by_carrier,
-            weights=weights,
-            dependent_stats=dependent_stats,
-        )
 
     def _fit_sample_positions(
         self, name: str, n_samples: int
@@ -653,56 +561,6 @@ class AuricEngine:
         picked = rng.choice(n_samples, size=cap, replace=False)
         picked.sort()
         return picked
-
-    def _fit_parameter_columnar(
-        self,
-        spec: ParameterSpec,
-        vote_weights: Optional[Dict[Hashable, float]] = None,
-    ) -> _ParameterModel:
-        """Fit one parameter from the encoded snapshot.
-
-        Byte-identical to ``_fit_parameter_tuples``: codes are bijective
-        with raw values per column (same first-appearance order), so
-        attribute selection sees identical contingency tables, and the
-        grouped-vote kernel emits (cell, label) groups in the exact
-        insertion order the per-sample loop produced — replaying them
-        rebuilds the same dicts, Counters and float sums.
-
-        Split into :meth:`_select_columnar` (chi-square attribute
-        selection) and :meth:`_build_columnar_model` (vote structures)
-        so the incremental-refit path can reuse a previous selection
-        when the changelog provably cannot have altered it, and pool
-        workers ship only the selection back to the master.  A cell key
-        space too large for int64 packing — in the selection's strata or
-        in the vote build — refits the parameter on the tuple path.
-        """
-        try:
-            selection = self._select_columnar(spec)
-        except ColumnarCapacityError:
-            selection = None
-        return self._model_from_selection(spec, selection, vote_weights)
-
-    def _model_from_selection(
-        self,
-        spec: ParameterSpec,
-        selection: Optional[
-            Tuple[Tuple[int, ...], Tuple[AttributeDependence, ...]]
-        ],
-        vote_weights: Optional[Dict[Hashable, float]] = None,
-    ) -> _ParameterModel:
-        """The fitted model for a chi-square ``selection`` — the
-        ``(dependent, dependent_stats)`` pair :meth:`_select_columnar`
-        returns — with vote structures built from the columnar snapshot.
-        ``None`` (the selection overflowed int64 packing) or a build that
-        overflows refits the parameter on the tuple path instead."""
-        if selection is not None:
-            try:
-                return self._build_columnar_model(
-                    spec, *selection, vote_weights
-                )
-            except ColumnarCapacityError:
-                pass
-        return self._fit_parameter_tuples(spec, vote_weights)
 
     def _select_columnar(
         self, spec: ParameterSpec
@@ -761,10 +619,9 @@ class AuricEngine:
             raise RecommendationError(
                 f"no configured values for parameter {spec.name}; cannot fit"
             )
-        row_codes = columnar.row_codes(spec.name)
         label_codes = columns.label_codes
-        sizes = columnar.column_sizes(spec.name)
         names = self.attribute_names(spec)
+        dep_vocabs = [columnar.column_vocab(spec.name, col) for col in dependent]
 
         keys = columns.keys(columnar.carrier_ids)
         label_vocab = columns.label_vocab
@@ -781,34 +638,16 @@ class AuricEngine:
                 weight_list.append(weight)
             weight_array = np.asarray(weight_list, dtype=np.float64)
 
-        capacity = pack_capacity(sizes, dependent)  # may raise
-        if capacity > 2**62 // max(len(label_vocab), 1):
-            raise ColumnarCapacityError(
-                f"cell x label key space of {spec.name} exceeds int64 capacity"
-            )
-        cell_codes = pack_columns(row_codes, dependent, sizes)
+        dep_rows = dependent_codes(
+            columnar.codes, columns.sources, columns.neighbors, dependent
+        )
+        cell_codes = pack_columns(
+            dep_rows, range(len(dependent)), [len(v) for v in dep_vocabs]
+        )
         group_cells, group_labels, group_totals = grouped_votes(
             cell_codes, label_codes, len(label_vocab), weight_array
         )
-
-        # Decode every distinct packed cell in one pass per column.
-        uniq_codes = np.unique(group_cells)
-        if dependent:
-            decoded_columns = []
-            remaining = uniq_codes
-            for col in dependent:
-                size = max(int(sizes[col]), 1)
-                vocab = columnar.column_vocab(spec.name, col)
-                decoded_columns.append(
-                    [vocab[code] for code in (remaining % size).tolist()]
-                )
-                remaining = remaining // size
-            decoded = list(zip(*decoded_columns))
-        else:
-            decoded = [()] * len(uniq_codes)
-        cell_tuples: Dict[int, Tuple[AttributeValue, ...]] = dict(
-            zip(uniq_codes.tolist(), decoded)
-        )
+        cell_tuples = decode_keys(cell_codes, dep_rows, dep_vocabs)
 
         cell_index: Dict[Tuple[AttributeValue, ...], Counter] = {}
         for code, label_code, total in zip(
@@ -864,11 +703,10 @@ class AuricEngine:
                 cell_codes=cell_codes,
                 label_codes=label_codes,
                 label_vocab=label_vocab,
-                prefix_sizes=[int(sizes[col]) for col in dependent],
                 cell_tuples=cell_tuples,
-                dep_vocabs=[
-                    columnar.column_vocab(spec.name, col) for col in dependent
-                ],
+                dependent=dependent,
+                dep_vocabs=dep_vocabs,
+                attribute_codes=columnar.codes,
                 sources=columns.sources,
                 neighbors=columns.neighbors,
                 carrier_ids=columnar.carrier_ids,
@@ -917,9 +755,8 @@ class AuricEngine:
         """The model's precomputed plurality table, or ``None`` when the
         exact fast path cannot be used (weighted votes make the LOO
         ``top - 1`` arithmetic inexact; vote capture needs the full
-        distribution; ``columnar=False`` pins the engine to the legacy
-        path for A/B comparison)."""
-        if self._capture_votes or model.weights or not self.config.columnar:
+        distribution)."""
+        if self._capture_votes or model.weights:
             return None
         table = model._vote_table
         if table is None:
@@ -941,7 +778,7 @@ class AuricEngine:
         """Answer an exact-cell global vote from the plurality table.
 
         ``None`` means the table cannot answer exactly (unknown cell or
-        the exclusion empties it) and the caller must take the legacy
+        the exclusion empties it) and the caller must take the Counter
         path — whose outcome is identical whenever the table *does*
         answer.
         """
@@ -991,10 +828,10 @@ class AuricEngine:
         """Relaxed-level global vote from per-level plurality tables.
 
         Reached only when the exact-cell table vote returned ``None`` —
-        which implies the legacy exact-cell counter is empty (unknown
-        cell, or a singleton cell emptied by the exclusion) — so the
-        walk down the relaxation levels picks up exactly where the
-        Counter path would.  The global-distribution tail stays on the
+        which implies the Counter path's exact-cell counter is empty
+        (unknown cell, or a singleton cell emptied by the exclusion) —
+        so the walk down the relaxation levels picks up exactly where
+        the Counter path would.  The global-distribution tail stays on the
         Counter copy; it is both rare and cheap.
         """
         ex_cell = None
@@ -1092,7 +929,7 @@ class AuricEngine:
         leave-one-out entries take the scalar :meth:`_table_outcome`
         path (rare in serving batches, branchy tie-break).  Entries the
         table cannot answer — unknown cells, emptied cells, or a model
-        on the legacy/weighted/capture path where there is no table at
+        on the weighted/capture Counter path where there is no table at
         all — come back as ``None`` and the caller falls through to the
         per-target vote, exactly like a ``None`` from
         :meth:`_table_outcome`.  Never raises: a cell with no voters
@@ -1148,7 +985,7 @@ class AuricEngine:
         Element-wise byte-identical to calling :meth:`recommend_global`
         on each cell's source row: the vectorized table pass answers
         the common exact-cell case, and every ``None`` falls through
-        the same relaxed/legacy chain the scalar call uses (including
+        the same relaxed/Counter chain the scalar call uses (including
         raising :class:`RecommendationError` for a cell with no votes
         anywhere).
         """

@@ -19,9 +19,9 @@ On top of the codes sit three kernels, all built from ``np.unique`` /
 ``np.bincount``:
 
 * :func:`pack_columns` — mixed-radix packing of a column subset into a
-  single ``int64`` key per row (with an explicit capacity guard;
-  callers fall back to the tuple-based path when vocabularies are too
-  large to pack, which cannot happen at the schema's cardinalities).
+  single ``int64`` key per row; a key space too large for int64 (far
+  beyond the schema's cardinalities) is re-densified as it is packed,
+  so every vocabulary packs.
 * :func:`grouped_votes` — every distinct (cell, label) pair's total
   vote weight in one shot, emitted in first-appearance order so that
   replaying the groups reproduces the historical ``Counter`` insertion
@@ -31,9 +31,9 @@ On top of the codes sit three kernels, all built from ``np.unique`` /
   its leave-one-out variant) is an O(1) lookup instead of a ``Counter``
   copy.
 
-Everything downstream is bit-identical to the legacy path by
-construction: codes are bijective with raw values per column, and all
-orderings replay the historical first-appearance/insertion orders.
+Everything downstream is bit-identical to a per-sample tuple/Counter
+fit by construction: codes are bijective with raw values per column,
+and all orderings replay its first-appearance/insertion orders.
 
 For ``--jobs N`` pools under the *spawn* start method, the snapshot's
 arrays travel to workers through one ``multiprocessing.shared_memory``
@@ -62,62 +62,57 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
 from repro.types import AttributeValue, ParameterValue
 
-#: Packed cell keys must stay clear of int64 overflow, including the
-#: final ``* n_labels`` step of :func:`grouped_votes`.
+#: Mixed-radix packing stays below this key-space size, which leaves
+#: room for the final ``* n_labels`` step of :func:`grouped_votes`.
+#: Past it, :func:`pack_columns` re-densifies its running key.
 PACK_CAPACITY_LIMIT = 2**62
-
-
-class ColumnarCapacityError(RecommendationError):
-    """Vocabularies too large to pack into one int64 key.
-
-    Callers catch this and fall back to the tuple-keyed legacy path;
-    the synthetic and production schemas are orders of magnitude below
-    the limit, so this is a guard rail, not an expected mode.
-    """
-
-
-def pack_capacity(sizes: Sequence[int], columns: Sequence[int]) -> int:
-    """The key-space size of packing ``columns`` with the given vocab
-    ``sizes``; raises :class:`ColumnarCapacityError` past the limit."""
-    capacity = 1
-    for col in columns:
-        capacity *= max(int(sizes[col]), 1)
-        if capacity > PACK_CAPACITY_LIMIT:
-            raise ColumnarCapacityError(
-                f"cell key space {capacity} exceeds int64 packing capacity"
-            )
-    return capacity
 
 
 def pack_columns(
     matrix: np.ndarray, columns: Sequence[int], sizes: Sequence[int]
 ) -> np.ndarray:
-    """Mixed-radix-pack a subset of code columns into one int64 per row.
+    """Pack a subset of code columns into one int64 key per row.
 
-    ``matrix[:, columns[0]]`` is the least-significant digit, so two
-    rows get equal keys iff they agree on every packed column.  Codes
-    must be non-negative and below their column's ``sizes`` entry.
+    Two rows get equal keys iff they agree on every packed column.
+    While the key space fits under :data:`PACK_CAPACITY_LIMIT` the key
+    is mixed-radix (``matrix[:, columns[0]]`` the least-significant
+    digit); a column that would push it past the limit first replaces
+    the running key with its dense rank (``np.unique`` inverse), so the
+    packing never overflows whatever the vocabulary sizes.  Codes must
+    be non-negative and below their column's ``sizes`` entry.
     """
-    pack_capacity(sizes, columns)
     packed = np.zeros(len(matrix), dtype=np.int64)
     stride = 1
     for col in columns:
+        size = max(int(sizes[col]), 1)
+        if stride * size > PACK_CAPACITY_LIMIT:
+            uniq, inverse = np.unique(packed, return_inverse=True)
+            packed = inverse.reshape(-1).astype(np.int64)
+            stride = max(len(uniq), 1)
         packed += matrix[:, col].astype(np.int64) * stride
-        stride *= max(int(sizes[col]), 1)
+        stride *= size
     return packed
 
 
-def unpack_key(
-    key: int, columns: Sequence[int], sizes: Sequence[int]
-) -> Tuple[int, ...]:
-    """Invert :func:`pack_columns` for a single key (code per column)."""
-    codes = []
-    remaining = int(key)
-    for col in columns:
-        size = max(int(sizes[col]), 1)
-        codes.append(remaining % size)
-        remaining //= size
-    return tuple(codes)
+def decode_keys(
+    keys: np.ndarray,
+    rows: np.ndarray,
+    vocabs: Sequence[Sequence[AttributeValue]],
+) -> Dict[int, Tuple[AttributeValue, ...]]:
+    """Every distinct packed key mapped to its raw cell tuple.
+
+    ``rows`` holds, per sample, the codes that were packed into
+    ``keys`` (one column per vocab); equal keys mean equal rows, so
+    each key decodes from the row where it first occurs.
+    """
+    uniq, first = np.unique(keys, return_index=True)
+    picked = rows[first]
+    decoded = [
+        [vocab[code] for code in picked[:, j].tolist()]
+        for j, vocab in enumerate(vocabs)
+    ]
+    cells = list(zip(*decoded)) if decoded else [()] * len(uniq)
+    return dict(zip(uniq.tolist(), cells))
 
 
 def grouped_votes(
@@ -136,6 +131,14 @@ def grouped_votes(
     historical per-sample loop.
     """
     n_labels = max(int(n_labels), 1)
+    keys = None
+    if len(cell_codes) and (
+        (int(cell_codes.max()) + 1) * n_labels > PACK_CAPACITY_LIMIT
+    ):
+        # Cell keys too wide to pair with a label in one int64: group
+        # on their dense ranks and report the original keys.
+        keys, cell_codes = np.unique(cell_codes, return_inverse=True)
+        cell_codes = cell_codes.reshape(-1)
     packed = cell_codes * n_labels + label_codes
     uniq, first, inverse, counts = np.unique(
         packed, return_index=True, return_inverse=True, return_counts=True
@@ -154,7 +157,10 @@ def grouped_votes(
         "repro_vote_vectorized_cells_total",
         "Distinct vote cells computed by vectorized kernels",
     ).inc(float(len(uniq)))
-    return uniq // n_labels, uniq % n_labels, totals[order]
+    cells = uniq // n_labels
+    if keys is not None:
+        cells = keys[cells]
+    return cells, uniq % n_labels, totals[order]
 
 
 #: Sentinel distinguishing "no leave-one-out exclusion" from excluding
@@ -176,7 +182,7 @@ class CellVoteTable:
 
     :meth:`vote` returns ``None`` whenever the precomputed stats cannot
     answer exactly (unknown cell, or the exclusion empties the cell);
-    callers fall back to the legacy path, which is bit-identical by
+    callers fall back to the Counter vote, which is bit-identical by
     definition.
     """
 
@@ -215,7 +221,7 @@ class CellVoteTable:
         group_cells: np.ndarray,
         group_labels: np.ndarray,
         group_totals: np.ndarray,
-        decode_cells: Callable[[np.ndarray], List[Tuple]],
+        decode: Callable[[np.ndarray], List[Tuple]],
         label_vocab: Sequence[ParameterValue],
     ) -> "CellVoteTable":
         """Build directly from :func:`grouped_votes` output.
@@ -223,7 +229,7 @@ class CellVoteTable:
         The groups arrive in (cell, label)-pair first-appearance order;
         restricted to one cell that equals the Counter's label insertion
         order, so every plurality and leave-one-out tie-break matches a
-        table built from the materialized dict index.  ``decode_cells``
+        table built from the materialized dict index.  ``decode``
         maps an array of packed keys to raw cell tuples in one call.
         """
         uniq, first, inverse = np.unique(
@@ -232,7 +238,7 @@ class CellVoteTable:
         order = np.argsort(first, kind="stable")
         rank = np.empty(len(uniq), dtype=np.intp)
         rank[order] = np.arange(len(uniq), dtype=np.intp)
-        cells = decode_cells(uniq[order])
+        cells = decode(uniq[order])
         table = cls.__new__(cls)
         table._build(
             {cell: slot for slot, cell in enumerate(cells)},
@@ -286,7 +292,7 @@ class CellVoteTable:
         self, cell: Tuple, exclude_label: object = NO_EXCLUDE
     ) -> Optional[Tuple[ParameterValue, float, float]]:
         """``(value, top, total)`` of the cell's (possibly LOO-adjusted)
-        vote, or ``None`` when the legacy path must answer instead."""
+        vote, or ``None`` when the Counter vote must answer instead."""
         slot = self._slots.get(cell)
         if slot is None:
             return None
@@ -298,7 +304,7 @@ class CellVoteTable:
         # the caller) leaves the cell.
         total -= 1.0
         if total <= 0.0:
-            return None  # cell emptied; legacy path relaxes the match
+            return None  # cell emptied; the Counter vote relaxes the match
         if exclude_label != self._value1[slot]:
             # A non-winning label lost a vote: since its count was
             # strictly below top1 (or tied but inserted later), the
@@ -503,15 +509,20 @@ class EncodedVotes:
     drops the stash whenever its samples change (``add_sample`` /
     ``remove_sample``), and it is never captured for weighted models —
     the same gate the fast paths already apply.
+
+    ``attribute_codes`` is the snapshot's carrier code matrix (shared,
+    not copied); with ``sources``/``neighbors`` and ``dependent`` it
+    yields each sample's codes on the dependent attributes.
     """
 
     __slots__ = (
         "cell_codes",
         "label_codes",
         "label_vocab",
-        "prefix_sizes",
         "cell_tuples",
+        "dependent",
         "dep_vocabs",
+        "attribute_codes",
         "sources",
         "neighbors",
         "carrier_ids",
@@ -522,9 +533,10 @@ class EncodedVotes:
         cell_codes: np.ndarray,
         label_codes: np.ndarray,
         label_vocab: List[ParameterValue],
-        prefix_sizes: List[int],
         cell_tuples: Dict[int, Tuple],
+        dependent: Tuple[int, ...],
         dep_vocabs: List[List[AttributeValue]],
+        attribute_codes: np.ndarray,
         sources: np.ndarray,
         neighbors: Optional[np.ndarray],
         carrier_ids: List[CarrierId],
@@ -532,12 +544,23 @@ class EncodedVotes:
         self.cell_codes = cell_codes
         self.label_codes = label_codes
         self.label_vocab = label_vocab
-        self.prefix_sizes = prefix_sizes
         self.cell_tuples = cell_tuples
+        self.dependent = tuple(dependent)
         self.dep_vocabs = dep_vocabs
+        self.attribute_codes = attribute_codes
         self.sources = sources
         self.neighbors = neighbors
         self.carrier_ids = carrier_ids
+
+    def dependent_rows(self, level: Optional[int] = None) -> np.ndarray:
+        """Per-sample codes on the first ``level`` dependent attributes
+        (all of them by default), one column per attribute."""
+        return dependent_codes(
+            self.attribute_codes,
+            self.sources,
+            self.neighbors,
+            self.dependent[:level],
+        )
 
     def describes(
         self,
@@ -551,7 +574,7 @@ class EncodedVotes:
 
         Compares content, not identity (pool transport and store files
         hand out equal copies): carriers, label and target columns, and
-        the packed cells of the ``dependent`` attributes.
+        the attribute codes of the ``dependent`` attributes.
         """
         columns = snapshot.parameters.get(parameter)
         if columns is None or len(columns) != len(self.label_codes):
@@ -559,7 +582,8 @@ class EncodedVotes:
         if (columns.neighbors is None) != (self.neighbors is None):
             return False
         if not (
-            self.carrier_ids == snapshot.carrier_ids
+            tuple(dependent) == self.dependent
+            and self.carrier_ids == snapshot.carrier_ids
             and self.label_vocab == columns.label_vocab
             and np.array_equal(self.label_codes, columns.label_codes)
             and np.array_equal(self.sources, columns.sources)
@@ -569,13 +593,17 @@ class EncodedVotes:
             )
         ):
             return False
-        sizes = snapshot.column_sizes(parameter)
         if self.dep_vocabs != [
             snapshot.column_vocab(parameter, col) for col in dependent
-        ] or self.prefix_sizes != [int(sizes[col]) for col in dependent]:
+        ]:
             return False
-        cells = pack_columns(snapshot.row_codes(parameter), dependent, sizes)
-        return bool(np.array_equal(cells, self.cell_codes))
+        attributes = sorted({col % snapshot.n_attributes() for col in dependent})
+        return bool(
+            np.array_equal(
+                self.attribute_codes[:, attributes],
+                snapshot.codes[:, attributes],
+            )
+        )
 
     def vote_table(self) -> CellVoteTable:
         """The exact-cell plurality table, built vectorized."""
@@ -590,46 +618,50 @@ class EncodedVotes:
         )
 
     def relaxed_table(self, level: int) -> CellVoteTable:
-        """The plurality table over level-``level`` cell prefixes.
-
-        Mixed-radix packing puts the first dependent column at stride 1,
-        so a prefix key is just the full key modulo the product of the
-        first ``level`` vocab sizes — no repacking pass needed.
-        """
-        modulo = 1
-        for size in self.prefix_sizes[:level]:
-            modulo *= max(int(size), 1)
-        groups = grouped_votes(
-            self.cell_codes % modulo, self.label_codes, len(self.label_vocab)
+        """The plurality table over level-``level`` cell prefixes: the
+        first ``level`` dependent attributes, packed afresh."""
+        rows = self.dependent_rows(level)
+        vocabs = self.dep_vocabs[:level]
+        keys = pack_columns(
+            rows, range(level), [len(vocab) for vocab in vocabs]
         )
+        tuples = decode_keys(keys, rows, vocabs)
+        groups = grouped_votes(keys, self.label_codes, len(self.label_vocab))
         return CellVoteTable.from_grouped(
             *groups,
-            lambda keys: self._decode_prefixes(keys, level),
+            lambda uniq: [tuples[key] for key in uniq.tolist()],
             self.label_vocab,
         )
 
-    def _decode_prefixes(
-        self, keys: np.ndarray, level: int
-    ) -> List[Tuple[AttributeValue, ...]]:
-        """Unpack an array of prefix keys column by column (one modulo
-        pass per column instead of a Python loop per key)."""
-        columns = []
-        remaining = keys
-        for vocab, size in zip(self.dep_vocabs[:level], self.prefix_sizes[:level]):
-            size = max(int(size), 1)
-            columns.append([vocab[code] for code in (remaining % size).tolist()])
-            remaining = remaining // size
-        return list(zip(*columns))
+
+def dependent_codes(
+    attribute_codes: np.ndarray,
+    sources: np.ndarray,
+    neighbors: Optional[np.ndarray],
+    dependent: Sequence[int],
+) -> np.ndarray:
+    """Per-sample codes of the ``dependent`` row columns.
+
+    Row column ``c`` is the source carrier's attribute ``c``, or — for
+    pair-wise samples, ``c >= n_attributes`` — the neighbor's attribute
+    ``c - n_attributes`` (the layout of
+    :meth:`ColumnarSnapshot.row_codes`).
+    """
+    width = attribute_codes.shape[1]
+    out = np.empty((len(sources), len(dependent)), dtype=attribute_codes.dtype)
+    for j, col in enumerate(dependent):
+        carriers = sources if col < width else neighbors
+        out[:, j] = attribute_codes[carriers, col % width]
+    return out
 
 
 class ParameterColumns:
     """One parameter's encoded samples over a :class:`ColumnarSnapshot`.
 
     ``sources`` (and ``neighbors`` for pair-wise parameters) index into
-    the snapshot's carrier rows, in sorted-key order — the same order
-    the engine's ``_collect_samples`` produces — so the original target
-    keys are rebuilt on demand instead of being stored (or pickled, or
-    persisted) as object lists.
+    the snapshot's carrier rows, in sorted target-key order — so the
+    original target keys are rebuilt on demand instead of being stored
+    (or pickled, or persisted) as object lists.
     """
 
     __slots__ = (
@@ -904,17 +936,6 @@ class ColumnarSnapshot:
         if self.parameter(name).pairwise:
             return sizes + sizes
         return sizes
-
-    def decode_cell(
-        self, name: str, columns: Sequence[int], key: int
-    ) -> Tuple[AttributeValue, ...]:
-        """Decode one packed cell key back to its raw attribute values."""
-        sizes = self.column_sizes(name)
-        codes = unpack_key(key, columns, sizes)
-        return tuple(
-            self.column_vocab(name, col)[code]
-            for col, code in zip(columns, codes)
-        )
 
     # -- persistence ------------------------------------------------------
 

@@ -239,12 +239,12 @@ def test_conditional_independence(
     if not 0.0 < p_value < 1.0:
         raise ValueError("p_value must be in (0, 1)")
     if isinstance(strata, np.ndarray) and strata.dtype != np.dtype(object):
-        # Pre-encoded strata (the columnar fit path packs the selected
-        # columns into one integer key per sample) take the fully
-        # vectorized builder — pre-encoded x/y columns skip their
-        # factorize pass entirely; the object path below is the
-        # historical implementation, kept as the ``columnar=False``
-        # A/B reference.
+        # Pre-encoded strata (the engine's columnar fit packs the
+        # selected columns into one integer key per sample) take the
+        # fully vectorized builder — pre-encoded x/y columns skip their
+        # factorize pass entirely.  The object path below serves raw
+        # rows: ``CollaborativeFilteringRecommender.fit`` (learner
+        # registry, lasso baseline, the test-suite reference oracle).
         x_codes, n_x = _encoded_column(xs)
         y_codes, n_y = _encoded_column(ys)
         return _conditional_from_encoded(

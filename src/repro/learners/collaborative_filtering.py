@@ -408,9 +408,7 @@ class CollaborativeFilteringRecommender(Learner):
         if not isinstance(rows, (list, tuple)):
             rows = list(rows)
         if len(rows) >= self._VECTORIZE_MIN_ROWS and self._dependent:
-            vectorized = self._recommend_many_vectorized(rows)
-            if vectorized is not None:
-                return vectorized
+            return self._recommend_many_vectorized(rows)
         cache: Dict[Tuple[AttributeValue, ...], VoteOutcome] = {}
         out: List[VoteOutcome] = []
         for row in rows:
@@ -424,23 +422,14 @@ class CollaborativeFilteringRecommender(Learner):
 
     def _recommend_many_vectorized(
         self, rows: Sequence[Row]
-    ) -> Optional[List[VoteOutcome]]:
-        """Group rows by packed cell code; ``None`` when the cell key
-        space cannot pack into int64 (the caller then hashes tuples)."""
-        from repro.core.columnar import (
-            ColumnarCapacityError,
-            pack_capacity,
-            pack_columns,
-        )
+    ) -> List[VoteOutcome]:
+        """Group rows by packed cell code, voting once per group."""
+        from repro.core.columnar import pack_columns
         from repro.obs import metrics as obs_metrics
 
         vocabs = self._cell_vocabs()
         sizes = [len(vocab) + 1 for vocab in vocabs]
         columns = list(range(len(sizes)))
-        try:
-            pack_capacity(sizes, columns)
-        except ColumnarCapacityError:
-            return None
         codes = np.empty((len(rows), len(columns)), dtype=np.int64)
         for j, col in enumerate(self._dependent):
             vocab = vocabs[j]

@@ -15,11 +15,12 @@ selection and the encoded snapshot, which the master already holds, so
 the master rebuilds them there instead of unpickling them from every
 worker.
 
-When the master has already encoded the snapshot into a
-:class:`~repro.core.columnar.ColumnarSnapshot`, it rides along in the
-payload — inherited for free under *fork*, and shipped through one
-shared-memory segment (zero-copy attach, see :mod:`repro.parallel.shm`)
-instead of the payload pickle under *spawn* — so no worker re-encodes.
+The master encodes the snapshot into a
+:class:`~repro.core.columnar.ColumnarSnapshot` before the fan-out, and
+it rides along in the payload — inherited for free under *fork*, and
+shipped through one shared-memory segment (zero-copy attach, see
+:mod:`repro.parallel.shm`) instead of the payload pickle under *spawn*
+— so no worker re-encodes.
 A snapshot opened from an mmap :class:`repro.store.SnapshotStore` goes
 one better: its pickle is just the store *path* plus blob layouts, and
 every worker re-maps the same file read-only (page cache shared across
@@ -45,39 +46,26 @@ def _worker_engine():
 
     payload = get_payload()
     if _STATE["payload"] is not payload:
-        network, store, config, _, columnar = payload
+        network, store, config, columnar = payload
         _STATE["payload"] = payload
         engine = AuricEngine(network, store, config)
-        if columnar is not None:
-            engine.attach_columnar(columnar)
+        engine.attach_columnar(columnar)
         _STATE["engine"] = engine
     return _STATE["engine"]
 
 
 def _fit_task(parameter: str):
-    from repro.core.columnar import ColumnarCapacityError
-
     engine = _worker_engine()
     spec = engine.catalog.spec(parameter)
-    if engine.config.columnar:
-        # Only the selection crosses back: the master rebuilds the vote
-        # structures from its own copy of the snapshot.  ``None`` marks
-        # a selection whose strata overflowed int64 cell packing; the
-        # master refits that parameter on the tuple path.
-        with tracing.span("engine.fit_parameter", parameter=parameter) as sp:
-            try:
-                result = engine._select_columnar(spec)
-            except ColumnarCapacityError:
-                result = None
-                sp.set("capacity_overflow", True)
-            else:
-                names = engine.attribute_names(spec)
-                sp.set("dependent", [names[col] for col in result[0]])
-    else:
-        result = engine._fit_parameter(spec, get_payload()[3])
+    # Only the selection crosses back: the master rebuilds the vote
+    # structures from its own copy of the snapshot.
+    with tracing.span("engine.fit_parameter", parameter=parameter) as sp:
+        selection = engine._select_columnar(spec)
+        names = engine.attribute_names(spec)
+        sp.set("dependent", [names[col] for col in selection[0]])
     # Worker registries are disabled, so phase timings ride back on the
     # task result for the master to observe (see fit-pipeline metrics).
-    return parameter, result, engine._take_fit_phases()
+    return parameter, selection, engine._take_fit_phases()
 
 
 def fit_parameter_models(
@@ -92,33 +80,28 @@ def fit_parameter_models(
     to fitting the same parameters serially on ``engine``.  Workers run
     the chi-square selection against the master's encoded snapshot and
     return ``(dependent_columns, dependent_stats)``; the master builds
-    each model from its own snapshot (a parameter whose cell key space
-    overflows int64 packing, in the worker's selection or in the
-    master's build, refits there on the tuple path).  Only a
-    non-columnar engine ships whole models back.  Worker phase timings
-    merge into ``engine``'s fit-phase breakdown — worker processes run
-    with metrics disabled and cannot observe it themselves.
+    each model (vote weights included) from its own snapshot.  Worker
+    phase timings merge into ``engine``'s fit-phase breakdown — worker
+    processes run with metrics disabled and cannot observe it
+    themselves.
     """
     columnar = engine.columnar_snapshot()
-    if columnar is not None and getattr(columnar, "_backing", None) is not None:
+    if getattr(columnar, "_backing", None) is not None:
         obs_metrics.counter(
             "repro_store_pool_reference_total",
             "Pool fits whose snapshot shipped as an mmap store reference",
         ).inc(1.0)
-    payload = (engine.network, engine.store, engine.config, vote_weights, columnar)
+    payload = (engine.network, engine.store, engine.config, columnar)
     results = run_tasks(payload, _fit_task, list(parameters), jobs=jobs)
     fitted = {}
-    for parameter, result, phases in results:
+    for parameter, selection, phases in results:
         for (phase, name), seconds in phases.items():
             engine._phase(phase, name, seconds)
-        if engine.config.columnar:
-            with tracing.span(
-                "engine.build_parameter", parameter=parameter
-            ) as sp:
-                result = engine._model_from_selection(
-                    engine.catalog.spec(parameter), result, vote_weights
-                )
-                sp.set("samples", len(result.samples))
-                sp.set("dependent", list(result.dependent_names))
-        fitted[parameter] = result
+        with tracing.span("engine.build_parameter", parameter=parameter) as sp:
+            model = engine._build_columnar_model(
+                engine.catalog.spec(parameter), *selection, vote_weights
+            )
+            sp.set("samples", len(model.samples))
+            sp.set("dependent", list(model.dependent_names))
+        fitted[parameter] = model
     return fitted

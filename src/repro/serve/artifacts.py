@@ -61,9 +61,10 @@ from repro.obs.provenance import AttributeDependence
 from repro.store.base import replace_durably, sync_file
 
 #: Version of the artifact document schema (bump on layout changes).
-#: v2 adds the optional ``columnar`` snapshot section and the
-#: ``config.columnar`` flag; v3 adds the optional ``drift_baseline``
-#: section (fit-time value distributions for
+#: v2 adds the optional ``columnar`` snapshot section and a
+#: ``"columnar"`` config flag (written through v5 while the engine had
+#: a second fit path; ignored on load); v3 adds the optional
+#: ``drift_baseline`` section (fit-time value distributions for
 #: :class:`repro.obs.health.DriftDetector`); v4 adds the
 #: ``config.store`` field and the optional ``columnar_store`` reference
 #: — the encoded snapshot lives in an external
@@ -258,7 +259,6 @@ def engine_to_dict(
             "min_local_votes": config.min_local_votes,
             "max_fit_samples": config.max_fit_samples,
             "seed": config.seed,
-            "columnar": config.columnar,
             "store": config.store,
         },
         "models": [
@@ -331,7 +331,10 @@ def engine_from_dict(
                 f"(artifact {str(expected)[:12]}…, snapshot {actual[:12]}…); "
                 "pass verify_fingerprint=False to serve it anyway"
             )
-    config = AuricConfig(**payload["config"])
+    # v2-v5 documents may carry the retired "columnar" flag: ignore it.
+    config = AuricConfig(
+        **{k: v for k, v in payload["config"].items() if k != "columnar"}
+    )
     engine = AuricEngine(network, store, config)
     if "columnar_store" in payload:
         from repro.store import SnapshotStoreError

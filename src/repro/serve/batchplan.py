@@ -205,7 +205,7 @@ def _record_batch_metrics(report: BatchReport) -> None:
         "Parameter votes deduplicated away by batch grouping",
     ).inc(float(report.dedup_savings))
     counter(
-        "repro_batch_planner_seconds_total",
+        "repro_batch_plan_seconds_total",
         "Wall-clock seconds spent in plan + compute phases",
     ).inc(report.plan_s + report.compute_s)
     obs_metrics.gauge(

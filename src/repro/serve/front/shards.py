@@ -227,7 +227,6 @@ class ShardSet:
         cache_size: int = DEFAULT_CACHE_SIZE,
         max_queue: int = DEFAULT_MAX_QUEUE,
         warm: bool = True,
-        batch_planner: bool = True,
     ) -> None:
         if shards < 1:
             raise ValueError("shard count must be positive")
@@ -235,16 +234,10 @@ class ShardSet:
             rulebook = RuleBook(engine.catalog)
         self.rulebook = rulebook
         self.cache_size = cache_size
-        #: Forwarded to every shard service (including hot-swap
-        #: replacements): False pins the serial per-request loop.
-        self.batch_planner = batch_planner
         if warm:
             engine.warm_votes()
         self._services = [
-            RecommendationService(
-                engine, rulebook, cache_size=cache_size,
-                batch_planner=batch_planner,
-            )
+            RecommendationService(engine, rulebook, cache_size=cache_size)
             for _ in range(shards)
         ]
         self._shards = [
@@ -360,8 +353,7 @@ class ShardSet:
 
                 new_services = [
                     RecommendationService(
-                        engine, self.rulebook, cache_size=self.cache_size,
-                        batch_planner=self.batch_planner,
+                        engine, self.rulebook, cache_size=self.cache_size
                     )
                     for _ in self._shards
                 ]

@@ -263,7 +263,6 @@ class RecommendationService:
         rulebook: Optional[RuleBook] = None,
         metrics: Optional[ServiceMetrics] = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        batch_planner: bool = True,
         cache_stripes: int = DEFAULT_CACHE_STRIPES,
     ) -> None:
         #: Serializes mutators (refresh, invalidation, drift config)
@@ -273,9 +272,6 @@ class RecommendationService:
         self.rulebook = rulebook
         self.metrics = metrics or ServiceMetrics()
         self._cache = _StripedCache(cache_size, cache_stripes)
-        #: When True (default), multi-request ``handle_batch`` calls go
-        #: through the one-vote-per-distinct-cell planner.
-        self.batch_planner = batch_planner
         #: Live request-attribute window for drift scoring; None until
         #: :meth:`enable_drift_tracking` — the hot path pays one ``is
         #: None`` check while disabled.  The window itself is
@@ -407,17 +403,17 @@ class RecommendationService:
 
         ``planner=None`` (the default) routes multi-request batches
         through the one-vote-per-distinct-cell planner
-        (:mod:`repro.serve.batchplan`) whenever :attr:`batch_planner`
-        is on; ``planner=False`` pins the serial per-request loop
-        (byte-identical results — the equivalence suite holds the two
-        paths to that).  ``traces`` optionally carries one propagated
+        (:mod:`repro.serve.batchplan`); a one-request batch takes the
+        serial loop.  ``planner=False`` pins the serial per-request
+        loop (byte-identical results — the equivalence suite holds the
+        two paths to that).  ``traces`` optionally carries one propagated
         trace context per request (the front end's shard worker passes
         them) and wraps each request's serving in a ``shard.handle``
         span parented at its own trace; ``shard`` labels those spans.
         """
         use_planner = planner
         if use_planner is None:
-            use_planner = self.batch_planner and len(requests) > 1
+            use_planner = len(requests) > 1
         if use_planner:
             from repro.serve.batchplan import execute_batch
 

@@ -2,7 +2,7 @@
 
 The kernels in :mod:`repro.core.columnar` promise *byte-identity* with
 the tuple/Counter reference implementations: every property test here
-pits a kernel against a small hand-rolled Counter model of the legacy
+pits a kernel against a small hand-rolled Counter model of the same
 behaviour, including the insertion-order and tie-break contracts that
 the engine's reproducibility rests on.
 """
@@ -13,23 +13,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import columnar as columnar_module
 from repro.core.columnar import (
     NO_EXCLUDE,
     CellVoteTable,
-    ColumnarCapacityError,
     ColumnarSnapshot,
     LocalVoteIndex,
+    decode_keys,
     grouped_votes,
-    pack_capacity,
     pack_columns,
     plurality,
-    unpack_key,
 )
 from repro.datagen.generator import generate_dataset
 from repro.datagen.profiles import GenerationProfile, four_market_profile
 
 
-# -- pack / unpack ----------------------------------------------------------
+# -- packing ---------------------------------------------------------------
 
 pack_cases = st.integers(min_value=1, max_value=6).flatmap(
     lambda n_cols: st.tuples(
@@ -44,26 +43,66 @@ pack_cases = st.integers(min_value=1, max_value=6).flatmap(
 )
 
 
+def _mixed_radix(matrix, columns, sizes):
+    """The plain mixed-radix key (first column least significant)."""
+    keys = np.zeros(len(matrix), dtype=np.int64)
+    stride = 1
+    for col in columns:
+        keys += matrix[:, col].astype(np.int64) * stride
+        stride *= sizes[col]
+    return keys
+
+
+def _random_matrix(case, rng):
+    sizes, n_packed, n_rows = case
+    columns = list(range(len(sizes)))
+    rng.shuffle(columns)
+    matrix = np.array(
+        [
+            [rng.randrange(sizes[c]) for c in range(len(sizes))]
+            for _ in range(n_rows)
+        ],
+        dtype=np.int32,
+    )
+    return matrix, columns[:n_packed], sizes
+
+
 class TestPacking:
     @given(pack_cases, st.randoms(use_true_random=False))
     @settings(max_examples=100)
     def test_pack_unpack_round_trip(self, case, rng):
-        sizes, n_packed, n_rows = case
-        columns = list(range(len(sizes)))
-        rng.shuffle(columns)
-        columns = columns[:n_packed]
-        matrix = np.array(
-            [
-                [rng.randrange(sizes[c]) for c in range(len(sizes))]
-                for _ in range(n_rows)
-            ],
-            dtype=np.int32,
-        )
+        """Below the limit keys are mixed-radix, and every key decodes
+        (from its first-occurrence row) back to its row's codes."""
+        matrix, columns, sizes = _random_matrix(case, rng)
         packed = pack_columns(matrix, columns, sizes)
-        for row, key in zip(matrix, packed.tolist()):
-            assert unpack_key(key, columns, sizes) == tuple(
-                int(row[c]) for c in columns
-            )
+        assert packed.tolist() == _mixed_radix(matrix, columns, sizes).tolist()
+        rows = matrix[:, columns]
+        vocabs = [list(range(sizes[c])) for c in columns]
+        cells = decode_keys(packed, rows, vocabs)
+        for row, key in zip(rows.tolist(), packed.tolist()):
+            assert cells[key] == tuple(row)
+
+    @pytest.mark.parametrize(
+        "limit",
+        [columnar_module.PACK_CAPACITY_LIMIT, 3],
+        ids=["int64-limit", "lowered-limit"],
+    )
+    @given(case=pack_cases, rng=st.randoms(use_true_random=False))
+    @settings(max_examples=100)
+    def test_equal_keys_mean_equal_rows(self, limit, case, rng):
+        """Below the int64 limit and past it (the limit lowered so small
+        keys already exceed it): two rows share a key iff they agree on
+        every packed column, and below the limit the key is mixed-radix."""
+        matrix, columns, sizes = _random_matrix(case, rng)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(columnar_module, "PACK_CAPACITY_LIMIT", limit)
+            packed = pack_columns(matrix, columns, sizes).tolist()
+        cells = [tuple(row) for row in matrix[:, columns].tolist()]
+        for i in range(len(cells)):
+            for j in range(len(cells)):
+                assert (packed[i] == packed[j]) == (cells[i] == cells[j])
+        if np.prod([sizes[c] for c in columns]) <= limit:
+            assert packed == _mixed_radix(matrix, columns, sizes).tolist()
 
     def test_equal_keys_iff_equal_cells(self):
         sizes = [3, 4, 5]
@@ -74,17 +113,28 @@ class TestPacking:
         assert packed[0] == packed[1]
         assert len({packed[0], packed[2], packed[3]}) == 3
 
-    def test_capacity_guard_raises(self):
+    def test_past_the_limit_packs_without_overflow(self):
+        """A key space of 2**84 cannot be mixed-radix packed in int64;
+        the running key is re-densified instead of raising."""
         sizes = [2**21, 2**21, 2**21, 2**21]
-        with pytest.raises(ColumnarCapacityError):
-            pack_capacity(sizes, [0, 1, 2, 3])
-        with pytest.raises(ColumnarCapacityError):
-            pack_columns(
-                np.zeros((1, 4), dtype=np.int32), [0, 1, 2, 3], sizes
-            )
+        top = 2**21 - 1
+        matrix = np.array(
+            [[top, top, top, top], [0, 0, 0, 0], [top, top, top, top],
+             [top, 0, top, 0]],
+            dtype=np.int32,
+        )
+        packed = pack_columns(matrix, [0, 1, 2, 3], sizes)
+        assert packed.dtype == np.int64
+        assert (packed >= 0).all()
+        assert packed[0] == packed[2]
+        assert len({packed[0], packed[1], packed[3]}) == 3
 
     def test_capacity_within_limit(self):
-        assert pack_capacity([10, 20, 30], [0, 2]) == 300
+        matrix = np.array([[9, 0, 29], [3, 5, 0]], dtype=np.int32)
+        assert pack_columns(matrix, [0, 2], [10, 20, 30]).tolist() == [
+            9 + 29 * 10,
+            3,
+        ]
 
 
 # -- grouped_votes ----------------------------------------------------------
@@ -153,6 +203,19 @@ class TestGroupedVotes:
                 order.append((cell, label))
             reference[(cell, label)] += weight
         assert got_totals.tolist() == [reference[pair] for pair in order]
+
+    def test_wide_cell_keys_group_on_dense_ranks(self):
+        """Cell keys too wide to pair with a label in int64 still group
+        correctly, and come back as the original keys."""
+        wide = 2**62 - 1
+        cells = np.array([wide, 5, wide, 5, wide], dtype=np.int64)
+        labels = np.array([1, 0, 1, 2, 0], dtype=np.int64)
+        got = grouped_votes(cells, labels, 3)
+        assert [array.tolist() for array in got] == [
+            [wide, 5, 5, wide],
+            [1, 0, 2, 0],
+            [2.0, 1.0, 1.0, 1.0],
+        ]
 
 
 # -- CellVoteTable ----------------------------------------------------------

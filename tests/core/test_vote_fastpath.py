@@ -16,12 +16,23 @@ from collections import Counter
 
 import pytest
 
-from repro.core import AuricConfig, AuricEngine
+from repro.core import AuricEngine
 from repro.core.columnar import CellVoteTable
 from repro.exceptions import ColdStartError
 from repro.learners.collaborative_filtering import (
     CollaborativeFilteringRecommender,
 )
+
+from ..reference_auric import ReferenceAuric
+
+
+def _weighted_fit(dataset, cls=AuricEngine):
+    """``pMax`` fitted with one carrier's vote doubled — a weighted
+    model, which the plurality-table fast paths must decline."""
+    carrier = sorted(dataset.store.singular_values("pMax"))[0]
+    return cls(dataset.network, dataset.store).fit(
+        ["pMax"], vote_weights={carrier: 2.0}
+    )
 
 
 class TestVoteCounterNoCopy:
@@ -129,11 +140,10 @@ class TestCollaborativeFilteringVote:
 
 
 class TestFastPathGating:
-    def test_columnar_false_disables_vote_table(self, dataset):
-        engine = AuricEngine(
-            dataset.network, dataset.store, AuricConfig(columnar=False)
-        ).fit(["pMax"])
+    def test_weighted_fit_disables_vote_table(self, dataset):
+        engine = _weighted_fit(dataset)
         model = engine._model("pMax")
+        assert model.weights
         assert engine._cell_vote_table(model) is None
 
     def test_columnar_true_builds_and_caches_vote_table(self, engine):
@@ -233,15 +243,17 @@ class TestRecommendGlobalCells:
         assert batched[1].scope in ("global-relaxed", "global-fallback")
 
     def test_legacy_path_matches_when_table_disabled(self, dataset):
-        engine = AuricEngine(
-            dataset.network, dataset.store, AuricConfig(columnar=False)
-        ).fit(["pMax"])
+        """Without a plurality table (weighted model) the batch falls
+        through to the Counter vote, which answers like the reference."""
+        engine = _weighted_fit(dataset)
+        reference = _weighted_fit(dataset, ReferenceAuric)
         rows = self._rows(dataset.network, count=10)
         model = engine._model("pMax")
         cells = [model.cell_key(row) for row in rows]
         batched = engine.recommend_global_cells("pMax", cells)
         for row, rec in zip(rows, batched):
             assert rec == engine.recommend_global("pMax", row)
+            assert rec == reference.recommend("pMax", row)
 
     def test_table_global_votes_never_raises_on_unknown(self, engine):
         answers = engine.table_global_votes(

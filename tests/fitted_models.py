@@ -10,9 +10,10 @@ def model_fields(model):
             encoded.cell_codes.tolist(),
             encoded.label_codes.tolist(),
             encoded.label_vocab,
-            encoded.prefix_sizes,
             list(encoded.cell_tuples.items()),
+            encoded.dependent,
             encoded.dep_vocabs,
+            encoded.attribute_codes.tolist(),
             encoded.sources.tolist(),
             None if encoded.neighbors is None else encoded.neighbors.tolist(),
             encoded.carrier_ids,

@@ -11,6 +11,8 @@ from repro.learners.chi_square import marginal_tests
 from repro.obs.provenance import ResultExplanation
 from repro.serve.service import RecommendationService
 
+from ..reference_auric import ReferenceAuric
+
 PARAMETERS = ("pMax", "inactivityTimer")
 
 
@@ -75,6 +77,21 @@ class TestEngineExplanations:
                     for vote in explanation.votes
                 )
 
+    def test_vote_capture_matches_reference(self, engine, explained):
+        """Captured vote distributions are the section 3.2 reference's
+        Counter votes, winner first."""
+        reference = ReferenceAuric(engine.network, engine.store, engine.config)
+        reference.fit(PARAMETERS)
+        reference.capture = True
+        for result in explained:
+            carrier_id = result.request.carrier_id
+            row = engine.carrier_row(carrier_id)
+            voters = engine.neighborhood_of(carrier_id)
+            for name, rec in result.recommendation.recommendations.items():
+                assert rec == reference.recommend(
+                    name, row, voters, exclude=carrier_id
+                )
+
     def test_dependencies_match_marginal_chi_square(self, engine):
         """The explain record's attributes are exactly the marginally
         dependent columns that clear the effect-size floor."""
@@ -82,7 +99,9 @@ class TestEngineExplanations:
         for name in PARAMETERS:
             model = engine._models[name]
             spec = engine.catalog.spec(name)
-            _, rows, labels = engine._collect_samples(spec)
+            _, rows, labels = ReferenceAuric(
+                engine.network, engine.store
+            ).samples(spec)
             names = engine.attribute_names(spec)
             results = marginal_tests(
                 list(zip(*rows)), labels, config.p_value

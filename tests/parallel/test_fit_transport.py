@@ -4,17 +4,14 @@ Workers return ``(dependent_columns, dependent_stats)`` and the master
 rebuilds every model from its own columnar snapshot.  The rebuilt
 models must equal the serial fit field for field — dict order and the
 encoded-vote stash included — under both pool start methods, with vote
-weights, and when one parameter overflows int64 cell packing and has to
-refit on the tuple path — whether the overflow hits the worker's
-selection or the master's build.
+weights, and when a parameter's cell key space is past the int64
+packing limit in the workers' selection or only in the master's build.
 """
 
 import pytest
 
 from repro.core import AuricEngine
-from repro.core.auric import AuricConfig
 from repro.core import columnar as columnar_module
-from repro.core.columnar import ColumnarCapacityError
 from repro.obs import metrics as obs_metrics
 from repro.parallel.pool import START_METHOD_ENV
 
@@ -57,62 +54,55 @@ class TestSelectionTransport:
         # Weighted models keep no encoded stash, as in a serial fit.
         assert models["pMax"]._encoded is None
 
-    def test_capacity_overflow_refits_on_the_tuple_path(
-        self, dataset, start_method, monkeypatch
-    ):
-        real_build = AuricEngine._build_columnar_model
-
-        def build(self, spec, *args, **kwargs):
-            if spec.name == "inactivityTimer":
-                raise ColumnarCapacityError("forced overflow")
-            return real_build(self, spec, *args, **kwargs)
-
-        monkeypatch.setattr(AuricEngine, "_build_columnar_model", build)
-        serial = fit(dataset, 1)
-        pooled = fit(dataset, 2)
-        assert_same_models(serial, pooled)
-        models = pooled.fitted_models()
-        assert models["inactivityTimer"]._encoded is None
-        assert models["pMax"]._encoded is not None
-
-    def test_selection_overflow_refits_on_the_tuple_path(
+    def test_fit_past_the_packing_limit_matches_serial(
         self, dataset, monkeypatch
     ):
         """A packing limit of 200 cells sits above the largest strata
         pMax and inactivityTimer pack on the tiny workload (63 and 168)
-        but below hysA3Offset's (294), so hysA3Offset's chi-square
-        selection itself overflows — inside the worker on the pool path.
-        Fork only: spawned workers re-import the module and would not
-        see the lowered limit."""
+        but below hysA3Offset's (294), so hysA3Offset's cell keys are
+        re-densified — inside the worker's selection and the master's
+        build alike.  Fork only: spawned workers re-import the module
+        and would not see the lowered limit."""
         monkeypatch.setenv(START_METHOD_ENV, "fork")
         unlimited = fit(dataset, 1).fitted_models()
         monkeypatch.setattr(columnar_module, "PACK_CAPACITY_LIMIT", 200)
-        engine = AuricEngine(dataset.network, dataset.store)
-        with pytest.raises(ColumnarCapacityError):
-            engine._select_columnar(engine.catalog.spec("hysA3Offset"))
-
         serial = fit(dataset, 1)
         pooled = fit(dataset, 2)
         assert_same_models(serial, pooled)
         models = pooled.fitted_models()
-        assert models["hysA3Offset"]._encoded is None
-        assert models["pMax"]._encoded is not None
-        assert models["inactivityTimer"]._encoded is not None
-        # The tuple path learns the same model, minus the encoded stash.
         for name in PARAMETERS:
+            assert models[name]._encoded is not None
+            # Same model; only the packed key values may differ.
             assert model_fields(models[name])[:-1] == model_fields(
                 unlimited[name]
             )[:-1], name
+        assert model_fields(models["pMax"]) == model_fields(unlimited["pMax"])
 
-    def test_tuple_config_ships_whole_models(self, dataset):
-        config = AuricConfig(columnar=False)
-        serial = AuricEngine(dataset.network, dataset.store, config).fit(
-            PARAMETERS
-        )
-        pooled = AuricEngine(dataset.network, dataset.store, config).fit(
-            PARAMETERS, jobs=2
-        )
+    def test_build_past_the_packing_limit_matches_serial(
+        self, dataset, monkeypatch
+    ):
+        """Spawned workers re-import the module and select under the
+        default int64 limit, while the master builds under the lowered
+        one: hysA3Offset's cell keys are re-densified in the master's
+        build only, and the rebuilt models still equal the serial fit
+        under the lowered limit."""
+        monkeypatch.setenv(START_METHOD_ENV, "spawn")
+        unlimited = fit(dataset, 1).fitted_models()
+        monkeypatch.setattr(columnar_module, "PACK_CAPACITY_LIMIT", 200)
+        serial = fit(dataset, 1)
+        pooled = fit(dataset, 2)
         assert_same_models(serial, pooled)
+        models = pooled.fitted_models()
+        for name in PARAMETERS:
+            assert models[name]._encoded is not None
+            assert model_fields(models[name])[:-1] == model_fields(
+                unlimited[name]
+            )[:-1], name
+        # The master really did re-densify: the packed keys moved.
+        assert (
+            models["hysA3Offset"]._encoded.cell_codes.tolist()
+            != unlimited["hysA3Offset"]._encoded.cell_codes.tolist()
+        )
 
 
 class TestPhaseMetrics:

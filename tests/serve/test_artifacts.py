@@ -147,7 +147,7 @@ class TestColumnarPersistence:
         payload = engine_to_dict(fitted_engine)
         assert payload["schema_version"] == ARTIFACT_SCHEMA_VERSION
         assert "columnar" in payload
-        assert payload["config"]["columnar"] is True
+        assert "columnar" not in payload["config"]
         encoded = payload["columnar"]
         assert encoded["carrier_ids"]
         assert {p["parameter"] for p in encoded["parameters"]} >= set(
@@ -161,30 +161,41 @@ class TestColumnarPersistence:
             assert snapshot.has_parameter(name)
 
     def test_v1_artifact_still_loads(self, fitted_engine, dataset):
-        """Pre-columnar documents lack the section and the config flag;
-        they load with defaults and re-encode on first use."""
+        """Pre-columnar documents lack the section; they load with
+        defaults and re-encode on first use."""
         payload = json.loads(json.dumps(engine_to_dict(fitted_engine)))
         payload["schema_version"] = 1
         payload.pop("columnar")
-        payload["config"].pop("columnar")
         engine = engine_from_dict(payload, dataset.network, dataset.store)
         assert engine.columnar_snapshot() is None
-        assert engine.config.columnar is True
+        assert engine.config == fitted_engine.config
         assert engine.fitted_parameters() == fitted_engine.fitted_parameters()
 
-    def test_legacy_config_round_trips_without_snapshot(self, dataset, tmp_path):
-        config = AuricConfig(columnar=False)
-        engine = AuricEngine(dataset.network, dataset.store, config).fit(
-            ["pMax"]
-        )
-        payload = engine_to_dict(engine)
-        assert payload["config"]["columnar"] is False
-        assert "columnar" not in payload
-        path = tmp_path / "legacy.json"
-        save_engine(engine, str(path))
-        loaded = load_engine(str(path), dataset.network, dataset.store)
-        assert loaded.config.columnar is False
-        assert loaded.columnar_snapshot() is None
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_retired_columnar_flag_is_ignored_on_load(
+        self, fitted_engine, dataset, tmp_path, flag
+    ):
+        """Documents written through v5 by the two-path engine carry a
+        ``"columnar"`` config flag; either value loads, and answers
+        exactly like the current document."""
+        current = engine_to_dict(fitted_engine)
+        older = json.loads(json.dumps(current))
+        older["schema_version"] = 4
+        older["config"]["columnar"] = flag
+        loaded = []
+        for name, payload in (("v5", current), ("v4", older)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(payload))
+            loaded.append(load_engine(str(path), dataset.network, dataset.store))
+        assert loaded[0].config == loaded[1].config == fitted_engine.config
+        for name in SERVE_PARAMETERS:
+            keys = list(fitted_engine.fitted_models()[name].samples)[:60]
+            for local in (True, False):
+                answers = [
+                    engine.recommend_for_targets(name, keys, local=local)
+                    for engine in (fitted_engine, *loaded)
+                ]
+                assert answers[0] == answers[1] == answers[2], (name, local)
 
 
 class TestDriftBaselinePersistence:

@@ -217,17 +217,22 @@ class TestArtifactReplay:
         v1["config"].pop("columnar", None)
         v1.pop("drift_baseline", None)
 
+        # v2 through v5 documents were written with a "columnar" config
+        # flag until the engine lost its second fit path.
         v2 = json.loads(json.dumps(base))
         v2["schema_version"] = 2
+        v2["config"]["columnar"] = True
         v2.pop("drift_baseline", None)
 
         v3 = json.loads(json.dumps(base))
         v3["schema_version"] = 3
+        v3["config"]["columnar"] = False
 
         # A memory-store engine has no derived models, so its document
         # has the v4 layout exactly.
         v4 = json.loads(json.dumps(base))
         v4["schema_version"] = 4
+        v4["config"]["columnar"] = True
 
         for version, payload in (
             (1, v1), (2, v2), (3, v3), (4, v4), (5, base)

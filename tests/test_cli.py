@@ -7,6 +7,9 @@ import pytest
 from repro.cli import build_parser, main
 from repro.datagen import tiny_workload
 from repro.experiments import EXPERIMENTS
+from repro.serve import requests_from_json
+
+from .reference_auric import ReferenceAuric
 
 
 class TestParser:
@@ -146,26 +149,37 @@ class TestServeBatch:
 
         assert recommendations(fit_out) == recommendations(load_out)
 
-    def test_no_columnar_serves_identical_values(
+    def test_serve_batch_matches_reference(
         self, snapshot, requests_file, tmp_path, capsys
     ):
-        """--no-columnar pins the legacy engine; the recommendations it
-        prints are identical to the columnar default."""
-        fast_out = tmp_path / "fast.txt"
-        slow_out = tmp_path / "slow.txt"
-        base = [str(snapshot), str(requests_file), "--parameters", "pMax"]
-        assert main(["serve-batch", *base, "-o", str(fast_out)]) == 0
-        assert main(["serve-batch", *base, "--no-columnar",
-                     "-o", str(slow_out)]) == 0
+        """The served values and vote scopes are the section 3.2
+        reference oracle's, voting over each launch neighborhood."""
+        out = tmp_path / "served.json"
+        parameters = ("pMax", "inactivityTimer")
+        assert main(["serve-batch", str(snapshot), str(requests_file),
+                     "--parameters", ",".join(parameters),
+                     "--format", "json", "-o", str(out)]) == 0
         capsys.readouterr()
+        served = json.loads(out.read_text())["results"]
 
-        def recommendations(path):
-            return [
-                line for line in path.read_text().splitlines()
-                if not line.startswith("service metrics:")
+        dataset = tiny_workload()
+        reference = ReferenceAuric(dataset.network, dataset.store)
+        reference.fit(parameters)
+        requests = requests_from_json(json.loads(requests_file.read_text()))
+        assert len(served) == len(requests)
+        for result, request in zip(served, requests):
+            row = request.attributes.as_tuple()
+            voters = reference.launch_neighborhood(
+                request.enodeb_id, request.neighbor_carriers
+            )
+            expected = [
+                reference.recommend(name, row, voters) for name in parameters
             ]
-
-        assert recommendations(fast_out) == recommendations(slow_out)
+            assert result["values"] == {r.parameter: r.value for r in expected}
+            scopes = {}
+            for r in expected:
+                scopes[r.scope] = scopes.get(r.scope, 0) + 1
+            assert result["scopes"] == scopes
 
     def test_unknown_parameter_is_a_clean_error(
         self, snapshot, requests_file, capsys
