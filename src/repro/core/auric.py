@@ -112,6 +112,10 @@ class AuricConfig:
     #: serve artifacts reference external stores from schema v4 on.
     store: str = "memory"
 
+    def __post_init__(self) -> None:
+        if self.min_local_votes < 1:
+            raise ValueError("min_local_votes must be >= 1")
+
 
 @dataclass
 class _ParameterModel:
@@ -1087,12 +1091,9 @@ class AuricEngine:
     ) -> Optional[ParameterRecommendation]:
         """The two local signals of :meth:`recommend_local`; ``None``
         when neither stands and the global vote must decide."""
-        if self.config.min_local_votes >= 1:
-            table = self._cell_vote_table(model)
-            if table is not None:
-                return self._local_vote_fast(
-                    model, table, cell, neighborhood, exclude
-                )
+        table = self._cell_vote_table(model)
+        if table is not None:
+            return self._local_vote_fast(model, table, cell, neighborhood, exclude)
         exact_counter: Counter = Counter()
         all_counter: Counter = Counter()
         voters_by_label: Dict[ParameterValue, List[Hashable]] = {}

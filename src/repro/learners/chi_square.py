@@ -10,6 +10,7 @@ paper's evaluation).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -241,21 +242,13 @@ def test_conditional_independence(
     if isinstance(strata, np.ndarray) and strata.dtype != np.dtype(object):
         # Pre-encoded strata (the engine's columnar fit packs the
         # selected columns into one integer key per sample) take the
-        # fully vectorized builder — pre-encoded x/y columns skip their
-        # factorize pass entirely.  The object path below serves raw
-        # rows: ``CollaborativeFilteringRecommender.fit`` (learner
-        # registry, lasso baseline, the test-suite reference oracle).
-        x_codes, n_x = _encoded_column(xs)
-        y_codes, n_y = _encoded_column(ys)
-        return _conditional_from_encoded(
-            x_codes,
-            n_x,
-            y_codes,
-            n_y,
-            strata,
-            p_value,
-            min_stratum_size,
-        )
+        # step scorer, as a one-candidate step.  The object path below
+        # serves raw rows: ``CollaborativeFilteringRecommender.fit``
+        # (learner registry, lasso baseline, the test-suite reference
+        # oracle).
+        return conditional_step_tests(
+            [xs], ys, strata, p_value, min_stratum_size
+        )[0]
     x_codes, x_uniques = factorize(xs)
     y_codes, y_uniques = factorize(ys)
     groups: Dict[Hashable, List[int]] = {}
@@ -283,67 +276,124 @@ def test_conditional_independence(
     )
 
 
-def _conditional_from_encoded(
-    x_codes: np.ndarray,
-    n_x: int,
-    y_codes: np.ndarray,
-    n_y: int,
+def conditional_step_tests(
+    candidates: Sequence[Sequence[Hashable]],
+    ys: Sequence[Hashable],
     strata: np.ndarray,
-    p_value: float,
-    min_stratum_size: int,
-) -> ChiSquareResult:
-    """The stratified test over pre-encoded integer strata.
+    p_value: float = 0.01,
+    min_stratum_size: int = DEFAULT_MIN_STRATUM_SIZE,
+) -> List[ChiSquareResult]:
+    """:func:`test_conditional_independence` of every candidate column
+    against ``ys`` within one integer ``strata`` vector: a whole step of
+    stepwise forward selection, scored at once.
 
-    All per-stratum contingency tables are laid out by one vectorized
-    pass — within-stratum first-appearance re-encoding via
-    :func:`_stratum_local_codes`, then a single ``bincount`` over
-    per-stratum cell offsets — producing, stratum for stratum, exactly
-    the tables (same counts, same row/column order, visited in the same
-    first-appearance stratum order) the dict builder produced, so the
-    pooled statistic accumulates identical floats.
+    The step's shared work runs once: the strata are factorized, the
+    ``min_stratum_size`` mask applied and the labels re-encoded within
+    each stratum.  Every candidate's per-stratum tables are then laid
+    out by one ``bincount`` and every table's expected counts and
+    deviations come from array arithmetic, not a per-stratum loop.
+
+    The floats are the per-stratum builder's, bit for bit:
+
+    * a stratum's statistic is numpy's pairwise sum over its R x C
+      deviation table, so equal-size tables are summed row-wise from a
+      ``(k, R*C)`` stack — never ``np.add.reduceat`` (a sequential sum
+      per segment) or ``math.fsum`` (exactly rounded);
+    * strata accumulate left to right in first-appearance order from
+      ``0.0``: a row-wise ``cumsum``, with ``0.0`` for skipped strata;
+    * results come back in ``candidates`` order.
     """
-    stratum_codes, stratum_uniques = _factorize_codes(strata)
+    if not 0.0 < p_value < 1.0:
+        raise ValueError("p_value must be in (0, 1)")
+    n = len(ys)
+    if len(strata) != n or any(len(xs) != n for xs in candidates):
+        raise ValueError("xs, ys and strata must have equal length")
+    k = len(candidates)
+    stratum_codes, stratum_uniques = _factorize_codes(np.asarray(strata))
     sizes_all = np.bincount(stratum_codes, minlength=len(stratum_uniques))
     keep = sizes_all >= min_stratum_size
+    if k == 0 or not keep.any():
+        return [_pooled_result(0.0, 0, 0, 0.0, p_value) for _ in range(k)]
 
-    total_statistic = 0.0
-    total_dof = 0
-    effective_n = 0
-    min_dim_weighted = 0.0
-    if keep.any():
-        mask = keep[stratum_codes]
-        remap = np.cumsum(keep) - 1  # old stratum id -> dense kept id
-        s = remap[stratum_codes[mask]]
-        n_strata = int(keep.sum())
-        sub_x, nx = _stratum_local_codes(s, x_codes[mask], n_strata, n_x)
-        sub_y, ny = _stratum_local_codes(s, y_codes[mask], n_strata, n_y)
-        cells = nx * ny
-        offsets = np.concatenate(([0], np.cumsum(cells)[:-1]))
-        flat = offsets[s] + sub_x * ny[s] + sub_y
-        counts = np.bincount(flat, minlength=int(cells.sum()))
-        nx_list = nx.tolist()
-        ny_list = ny.tolist()
-        offset_list = offsets.tolist()
-        size_list = sizes_all[keep].tolist()
-        for t in range(n_strata):
-            n_rows = nx_list[t]
-            n_cols = ny_list[t]
-            dof = (n_rows - 1) * (n_cols - 1)
-            if dof == 0:
-                continue
-            start = offset_list[t]
-            table = (
-                counts[start : start + n_rows * n_cols]
-                .astype(np.float64)
-                .reshape(n_rows, n_cols)
-            )
-            total_statistic += chi_square_statistic(table)
-            total_dof += dof
-            effective_n += size_list[t]
-            min_dim_weighted += size_list[t] * min(n_rows - 1, n_cols - 1)
-    return _pooled_result(
-        total_statistic, total_dof, effective_n, min_dim_weighted, p_value
+    mask = keep[stratum_codes]
+    s = (np.cumsum(keep) - 1)[stratum_codes[mask]]  # dense kept stratum id
+    n_strata = int(keep.sum())
+    sizes = sizes_all[keep]
+    y_codes, n_y = _encoded_column(ys)
+    sub_y, ny = _stratum_local_codes(s, y_codes[mask], n_strata, n_y)
+    encoded = [_encoded_column(xs) for xs in candidates]
+    n_x = max(max(bound for _, bound in encoded), 1)
+    # Candidate c's stratum t is block c * n_strata + t: one re-encoding
+    # pass ranks every candidate's values within every stratum.
+    blocks = (np.arange(k)[:, None] * n_strata + s).ravel()
+    x_codes = np.concatenate([codes[mask] for codes, _ in encoded])
+    sub_x, nx = _stratum_local_codes(blocks, x_codes, k * n_strata, n_x)
+
+    # Table (c, t) is nx[c, t] x ny[t], laid out row-major from
+    # offsets[c * n_strata + t]; row and column totals are exact
+    # integer counts, so they come straight from the samples.
+    ny_t = np.tile(ny, k)
+    cells = nx * ny_t
+    offsets = np.concatenate(([0], np.cumsum(cells)[:-1]))
+    row_offsets = np.concatenate(([0], np.cumsum(nx)[:-1]))
+    col_offsets = np.concatenate(([0], np.cumsum(ny)[:-1]))
+    counts = np.bincount(
+        offsets[blocks] + sub_x * ny_t[blocks] + np.tile(sub_y, k),
+        minlength=int(cells.sum()),
+    ).astype(np.float64)
+    row_sums = np.bincount(
+        row_offsets[blocks] + sub_x, minlength=int(nx.sum())
+    ).astype(np.float64)
+    col_sums = np.bincount(
+        col_offsets[s] + sub_y, minlength=int(ny.sum())
+    ).astype(np.float64)
+
+    table = np.repeat(np.arange(k * n_strata), cells)
+    stratum = table % n_strata
+    within = np.arange(len(counts)) - offsets[table]
+    n_cols = ny[stratum]
+    expected = (
+        row_sums[row_offsets[table] + within // n_cols]
+        * col_sums[col_offsets[stratum] + within % n_cols]
+        / sizes[stratum].astype(np.float64)
     )
+    deviation = (counts - expected) ** 2 / expected
+
+    dof = (nx - 1) * (ny_t - 1)
+    live = np.flatnonzero(dof > 0)
+    statistic = np.zeros(k * n_strata)
+    for length in np.unique(cells[live]).tolist():
+        group = live[cells[live] == length]
+        spans = offsets[group][:, None] + np.arange(length)
+        statistic[group] = deviation[spans].sum(axis=1)
+
+    total_statistic = np.cumsum(statistic.reshape(k, n_strata), axis=1)[:, -1]
+    dof = dof.reshape(k, n_strata)
+    weight = np.where(dof > 0, sizes, 0)
+    total_dof = dof.sum(axis=1).tolist()
+    effective_n = weight.sum(axis=1).tolist()
+    min_dim_weighted = (
+        weight * np.minimum(nx - 1, ny_t - 1).reshape(k, n_strata)
+    ).sum(axis=1).tolist()
+    return [
+        _pooled_result(
+            float(total_statistic[c]),
+            total_dof[c],
+            effective_n[c],
+            float(min_dim_weighted[c]),
+            p_value,
+        )
+        for c in range(k)
+    ]
+
+
+@functools.lru_cache(maxsize=4096)
+def _critical_value(p_value: float, dof: int) -> float:
+    """The chi-square critical value at significance ``p_value`` and
+    ``dof`` degrees of freedom.  Memoized: stepwise selection asks for
+    the same few ``(p_value, dof)`` pairs thousands of times, and each
+    ``ppf`` costs tens of microseconds."""
+    return float(stats.chi2.ppf(1.0 - p_value, dof))
 
 
 def _pooled_result(
@@ -356,7 +406,7 @@ def _pooled_result(
     """The pooled CMH-style outcome shared by both stratified builders."""
     if total_dof == 0 or effective_n == 0:
         return ChiSquareResult(0.0, 0, float("inf"), p_value, False, 0.0)
-    critical = float(stats.chi2.ppf(1.0 - p_value, total_dof))
+    critical = _critical_value(p_value, total_dof)
     mean_min_dim = max(min_dim_weighted / effective_n, 1.0)
     v = float(np.sqrt(total_statistic / (effective_n * mean_min_dim)))
     return ChiSquareResult(
@@ -376,7 +426,7 @@ def _result_from_table(
     if dof == 0:
         return ChiSquareResult(0.0, 0, float("inf"), p_value, False)
     statistic = chi_square_statistic(table)
-    critical = float(stats.chi2.ppf(1.0 - p_value, dof))
+    critical = _critical_value(p_value, dof)
     n = float(table.sum())
     v = float(np.sqrt(statistic / (n * min(n_rows - 1, n_cols - 1))))
     return ChiSquareResult(

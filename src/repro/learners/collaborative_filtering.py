@@ -36,6 +36,7 @@ from repro.exceptions import ColdStartError, NotFittedError
 from repro.learners.base import Label, Learner, Row
 from repro.learners.chi_square import (
     ChiSquareResult,
+    conditional_step_tests,
     marginal_tests,
     test_conditional_independence,
 )
@@ -152,11 +153,16 @@ class CollaborativeFilteringRecommender(Learner):
             matrix[i, :] = row
         columns = [matrix[:, col] for col in range(n_columns)]
 
-        self._select(
-            columns,
-            labels,
-            lambda selected: list(map(tuple, matrix[:, selected])),
-        )
+        def score_step(selected, remaining):
+            strata = list(map(tuple, matrix[:, selected]))
+            return [
+                test_conditional_independence(
+                    columns[col], labels, strata, self.p_value
+                )
+                for col in remaining
+            ]
+
+        self._select(columns, labels, score_step)
         self._build_indexes(rows, labels, weights)
         self._fitted = True
         return self
@@ -176,8 +182,11 @@ class CollaborativeFilteringRecommender(Learner):
         values and assigned in the same first-appearance order, so every
         contingency table — and therefore every statistic, ranking and
         selected attribute — is bit-identical to :meth:`fit` on the
-        decoded rows.  Strata for the conditional stage are packed into
-        one int64 key per sample instead of per-sample value tuples.
+        decoded rows.  Strata for the conditional stage are one int64
+        key per sample (:func:`~repro.core.columnar.pack_columns` of
+        the selected columns), and each forward step scores every
+        remaining candidate in one
+        :func:`~repro.learners.chi_square.conditional_step_tests` call.
 
         Selection only: the tuple-keyed vote indexes need raw rows, so
         :meth:`vote` raises until a voting fit runs (the engine builds
@@ -198,14 +207,18 @@ class CollaborativeFilteringRecommender(Learner):
             ]
         columns = [code_matrix[:, col] for col in range(n_columns)]
 
-        def strata_fn(selected: List[int]) -> np.ndarray:
-            if not selected:
-                return np.zeros(n_samples, dtype=np.int64)
+        def score_step(selected, remaining):
             from repro.core.columnar import pack_columns
 
-            return pack_columns(code_matrix, selected, column_sizes)
+            strata = pack_columns(code_matrix, selected, column_sizes)
+            return conditional_step_tests(
+                [columns[col] for col in remaining],
+                label_codes,
+                strata,
+                self.p_value,
+            )
 
-        self._select(columns, label_codes, strata_fn)
+        self._select(columns, label_codes, score_step)
         self._prefixes = [
             self._dependent[:length]
             for length in range(len(self._dependent), -1, -1)
@@ -215,14 +228,15 @@ class CollaborativeFilteringRecommender(Learner):
         self._fitted = True
         return self
 
-    def _select(self, columns, labels, strata_fn) -> None:
+    def _select(self, columns, labels, score_step) -> None:
         """Marginal ranking plus (for ``selection="conditional"``)
         stepwise forward selection; sets ``_test_results``/``_dependent``.
 
-        ``strata_fn(selected)`` must return the per-sample stratum keys
-        for the currently-selected columns — value tuples on the raw
-        path, packed integer keys on the encoded path; both group the
-        samples identically.
+        ``score_step(selected, remaining)`` must return, in ``remaining``
+        order, each remaining column's conditional test within the
+        strata of the currently-selected columns — value-tuple strata
+        on the raw path, packed integer keys on the encoded path; both
+        group the samples identically.
         """
         # Marginal tests: candidate ranking plus per-column diagnostics.
         self._test_results = marginal_tests(columns, labels, self.p_value)
@@ -259,13 +273,9 @@ class CollaborativeFilteringRecommender(Learner):
         selected: List[int] = []
         remaining = [col for _, col in ranked]
         while remaining:
-            strata = strata_fn(selected)
             best_col = None
             best_statistic = 0.0
-            for col in remaining:
-                result = test_conditional_independence(
-                    columns[col], labels, strata, self.p_value
-                )
+            for col, result in zip(remaining, score_step(selected, remaining)):
                 if not result.dependent or result.cramers_v < self.min_effect_size:
                     continue
                 if result.statistic > best_statistic:

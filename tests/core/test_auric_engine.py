@@ -134,6 +134,11 @@ class TestConfigValidation:
         assert config.p_value == 0.01
         assert config.hops == 1
 
+    @pytest.mark.parametrize("votes", [0, -1])
+    def test_min_local_votes_below_one_rejected(self, votes):
+        with pytest.raises(ValueError, match="min_local_votes"):
+            AuricConfig(min_local_votes=votes)
+
     def test_engine_uses_store_catalog(self, engine, dataset):
         assert engine.catalog is dataset.store.catalog
 

@@ -1,8 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core import AuricEngine
+from repro.learners import collaborative_filtering
 from repro.learners.chi_square import (
     chi_square_statistic,
+    conditional_step_tests,
     contingency_from_codes,
     contingency_table,
     factorize,
@@ -10,6 +16,8 @@ from repro.learners.chi_square import (
     test_conditional_independence,
     test_independence,
 )
+
+from ..reference_auric import ReferenceAuric
 
 
 class TestContingencyTable:
@@ -211,3 +219,190 @@ class TestConditionalIndependence:
         )
         assert doubled.statistic == pytest.approx(2 * single.statistic)
         assert doubled.dof == 2 * single.dof
+
+
+def _per_candidate(candidates, ys, strata, min_stratum_size):
+    """The per-stratum object path: value lists, one test per candidate."""
+    return [
+        test_conditional_independence(
+            np.asarray(xs).tolist(),
+            np.asarray(ys).tolist(),
+            np.asarray(strata).tolist(),
+            0.01,
+            min_stratum_size,
+        )
+        for xs in candidates
+    ]
+
+
+def assert_step_identical(candidates, ys, strata, min_stratum_size=8):
+    """The step scorer equals the object path exactly, repr included
+    (a numpy scalar would compare equal but print differently)."""
+    candidates = [np.asarray(xs) for xs in candidates]
+    batched = conditional_step_tests(
+        candidates, np.asarray(ys), np.asarray(strata), 0.01, min_stratum_size
+    )
+    expected = _per_candidate(candidates, ys, strata, min_stratum_size)
+    assert batched == expected
+    assert [repr(r) for r in batched] == [repr(r) for r in expected]
+    return batched
+
+
+class TestConditionalStepTests:
+    """The batched step scorer is the per-candidate stratified test,
+    bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_candidate_object_path(self, data):
+        n = data.draw(st.integers(1, 150), label="n")
+
+        def ints(hi):
+            return st.lists(st.integers(0, hi), min_size=n, max_size=n)
+
+        k = data.draw(st.integers(1, 4), label="candidates")
+        candidates = [
+            data.draw(ints(data.draw(st.integers(0, 9))), label=f"x{c}")
+            for c in range(k)
+        ]
+        ys = data.draw(ints(data.draw(st.integers(0, 9))), label="y")
+        strata = data.draw(ints(data.draw(st.integers(0, 12))), label="strata")
+        min_size = data.draw(st.integers(0, 12), label="min_stratum_size")
+        assert_step_identical(candidates, ys, strata, min_size)
+
+    @staticmethod
+    def _columns(seed, n, x_values, y_values, n_strata, k=3):
+        rng = np.random.default_rng(seed)
+        candidates = [rng.integers(0, x_values, n) for _ in range(k)]
+        return candidates, rng.integers(0, y_values, n), rng.integers(
+            0, n_strata, n
+        )
+
+    def test_strata_below_min_size_are_skipped(self):
+        candidates, ys, _ = self._columns(0, 60, 3, 3, 1)
+        # Strata of 40, 12, 5 and 3 samples: the last two fall below 8.
+        strata = np.repeat([4, 9, 2, 7], [40, 12, 5, 3])
+        results = assert_step_identical(candidates, ys, strata)
+        assert all(r.dof > 0 for r in results)
+        dropped = assert_step_identical(candidates, ys, strata, 41)
+        assert all(r.dof == 0 and not r.dependent for r in dropped)
+
+    def test_dof_zero_strata_contribute_nothing(self):
+        candidates, ys, strata = self._columns(1, 200, 4, 3, 4)
+        ys = np.where(strata == 0, 5, ys)  # one label only in stratum 0
+        candidates[0] = np.where(strata == 1, 0, candidates[0])
+        results = assert_step_identical(candidates, ys, strata)
+        live = [
+            test_conditional_independence(
+                candidates[0][strata == t].tolist(), ys[strata == t].tolist(),
+                [0] * int((strata == t).sum()),
+            )
+            for t in (2, 3)
+        ]
+        assert results[0].statistic == live[0].statistic + live[1].statistic
+        assert results[0].dof == live[0].dof + live[1].dof
+
+    def test_all_strata_degenerate(self):
+        candidates, ys, strata = self._columns(2, 80, 4, 3, 5)
+        ys = strata.copy()  # the label is constant within every stratum
+        results = assert_step_identical(candidates, ys, strata)
+        for result in results:
+            assert (result.statistic, result.dof, result.dependent) == (
+                0.0, 0, False,
+            )
+            assert result.critical_value == float("inf")
+
+    def test_one_stratum_is_the_marginal_test(self):
+        candidates, ys, _ = self._columns(3, 300, 5, 4, 1)
+        results = assert_step_identical(candidates, ys, np.zeros(300, int))
+        for xs, result in zip(candidates, results):
+            assert result == test_independence(xs.tolist(), ys.tolist())
+
+    def test_large_tables_keep_pairwise_summation(self):
+        # 5 x 6 tables: 30 cells, so numpy's pairwise sum differs from
+        # a left-to-right or exactly rounded one on these counts.
+        candidates, ys, strata = self._columns(4, 900, 5, 6, 3)
+        results = assert_step_identical(candidates, ys, strata)
+        orders_differ = 0
+        for xs, result in zip(candidates, results):
+            tables = [
+                contingency_table(xs[strata == t].tolist(),
+                                  ys[strata == t].tolist())[0]
+                for t in (0, 1, 2)
+            ]
+            assert all(t.size >= 9 for t in tables)
+            deviations = []
+            for table in tables:
+                expected = table.sum(1, keepdims=True) @ table.sum(
+                    0, keepdims=True
+                ) / table.sum()
+                deviations.append(((table - expected) ** 2 / expected).ravel())
+            sequential = 0.0
+            for dev in deviations:
+                sequential += sum(dev.tolist())
+            orders_differ += sequential != result.statistic
+            orders_differ += (
+                math.fsum(chi_square_statistic(t) for t in tables)
+                != result.statistic
+            )
+        assert orders_differ > 0
+
+    def test_many_strata_accumulate_left_to_right(self):
+        candidates, ys, strata = self._columns(5, 3000, 4, 5, 60)
+        results = assert_step_identical(candidates, ys, strata)
+        exact = 0
+        for xs, result in zip(candidates, results):
+            stats = [
+                chi_square_statistic(contingency_table(
+                    xs[strata == t].tolist(), ys[strata == t].tolist()
+                )[0])
+                for t in dict.fromkeys(strata.tolist())
+            ]
+            exact += math.fsum(stats) != result.statistic
+        assert exact > 0
+
+    def test_no_candidates_and_validation(self):
+        assert conditional_step_tests([], np.zeros(3, int), np.zeros(3, int)) == []
+        with pytest.raises(ValueError):
+            conditional_step_tests([np.zeros(2, int)], np.zeros(3, int),
+                                   np.zeros(3, int))
+        with pytest.raises(ValueError):
+            conditional_step_tests([np.zeros(3, int)], np.zeros(3, int),
+                                   np.zeros(3, int), p_value=1.0)
+
+
+class TestSelectionResultsOnTinyDataset:
+    def test_every_conditional_result_matches_object_path(
+        self, dataset, monkeypatch
+    ):
+        """Every range parameter's stepwise selection on the tiny
+        dataset produces, step for step, the exact conditional results
+        of the per-candidate object path the reference oracle runs."""
+        encoded, raw = [], []
+
+        def recording(fn, sink):
+            def wrapped(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                sink.extend(result if isinstance(result, list) else [result])
+                return result
+
+            return wrapped
+
+        module = collaborative_filtering
+        monkeypatch.setattr(
+            module, "conditional_step_tests",
+            recording(module.conditional_step_tests, encoded),
+        )
+        monkeypatch.setattr(
+            module, "test_conditional_independence",
+            recording(module.test_conditional_independence, raw),
+        )
+        names = sorted(
+            spec.name for spec in dataset.store.catalog.range_parameters()
+        )
+        AuricEngine(dataset.network, dataset.store).fit(names)
+        assert not raw
+        ReferenceAuric(dataset.network, dataset.store).fit(names)
+        assert len(encoded) == len(raw) > len(names)
+        assert encoded == raw
+        assert [repr(r) for r in encoded] == [repr(r) for r in raw]
